@@ -10,12 +10,16 @@
 //!    alive exactly so this comparison stays honest;
 //! 2. **campaign** — the full worker-pool loop, single worker and
 //!    multi-worker;
-//! 3. **sharded** — in-process sharding over the campaign loop;
+//! 3. **sharded** — a cadence-∞ fleet over `LocalPoolTransport`: 4
+//!    leases of 2 campaign workers each, every lease covering its whole
+//!    budget in one generation, so the fleet is the one-shot 4-shard
+//!    campaign (split, run in parallel, merge once);
 //! 4. **orchestrated** — the PR-6 merge-then-continue fleet over
 //!    `LocalPoolTransport`, merged tests/sec at 4 workers vs 1 on
 //!    identical work (the merged result is asserted worker-count
 //!    independent), plus the deterministic coverage gate: the fleet
-//!    must reach the one-shot 4-shard plateau in no more tests.
+//!    must reach the one-shot 4-shard plateau (a cadence-∞ fleet of the
+//!    same template and budget) in no more tests.
 //!
 //! It also tracks the **evolve arm's time-to-coverage**: a random-only
 //! campaign runs to the budget and sets the plateau target, then the
@@ -48,6 +52,9 @@
 //! telemetry sink costs more than 3% of wall clock over the same
 //! campaign with telemetry disabled (the PR-9 bar — the two results
 //! are also asserted bit-identical, telemetry's neutrality contract).
+//! That gate runs its own 8192-test campaigns in interleaved
+//! disabled/enabled pairs and records the per-pair spread next to the
+//! gated ratio (see [`telemetry_overhead`]).
 //!
 //! ```text
 //! throughput [--smoke] [--check] [--out PATH]
@@ -59,7 +66,7 @@ use std::time::Instant;
 use chatfuzz::campaign::{CampaignBuilder, StopCondition};
 use chatfuzz::generator::{LmGenerator, LmGeneratorConfig};
 use chatfuzz::harness::{wrap, HarnessConfig, PrecompiledHarness};
-use chatfuzz::shard::{InProcessRunner, ShardSpec, ShardedCampaign};
+use chatfuzz::shard::ShardSpec;
 use chatfuzz_baselines::{InputGenerator, RandomRegression, Ucb1};
 use chatfuzz_bench::{boom_factory, print_table, rocket_factory};
 use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
@@ -194,24 +201,33 @@ fn campaign_throughput(
     }
 }
 
-/// Sharded campaign throughput (in-process shards, 2 workers each).
+/// Sharded campaign throughput: a cadence-∞ fleet of `shards` leases
+/// (2 campaign workers each) on a `shards`-wide local pool, each lease
+/// running its whole budget in one generation.
 fn sharded_throughput(shards: usize, tests_per_shard: usize) -> Measure {
-    let runner = InProcessRunner::new(move |spec: chatfuzz::shard::ShardSpec| {
-        let campaign = CampaignBuilder::from_factory(rocket_factory())
+    let space = rocket_factory()().space().clone();
+    let lease = |spec: ShardSpec| {
+        CampaignBuilder::from_factory(rocket_factory())
             .batch_size(32)
             .workers(2)
             .generator(RandomRegression::new(spec.seed, 16))
-            .build();
-        (campaign, vec![StopCondition::Tests(tests_per_shard)])
-    });
-    let start = Instant::now();
-    let outcome = ShardedCampaign::new(runner, shards, 5).run().expect("sharded run");
-    let dt = start.elapsed().as_secs_f64();
-    let merged = outcome.merged_report();
+    };
+    let config = FleetConfig {
+        fan_out: shards,
+        lease_tests: tests_per_shard,
+        total_tests: shards * tests_per_shard,
+        // No mid-lease checkpoints: this level times the split/run/merge
+        // loop, not persistence.
+        checkpoint_every: usize::MAX,
+        heartbeat_deadline: std::time::Duration::from_secs(120),
+        ..FleetConfig::new("rocket-sharded", 5, space, std::sync::Arc::new(lease))
+    };
+    let (merged, generations, dt) = orchestrated_fleet(&config, shards, "sharded");
+    assert_eq!(generations, 1, "a cadence-∞ fleet merges exactly once");
     Measure {
         tests_per_sec: (shards * tests_per_shard) as f64 / dt,
-        cycles_per_sec: merged.total_cycles as f64 / dt,
-        total_cycles: merged.total_cycles,
+        cycles_per_sec: merged.total_cycles() as f64 / dt,
+        total_cycles: merged.total_cycles(),
         covered_bins: 0,
     }
 }
@@ -279,10 +295,9 @@ struct OrchestratorComparison {
     fleet_final_pct: f64,
 }
 
-/// The shared per-shard campaign template: the orchestrated fleet's
-/// leases and the one-shot reference shards both build through this, so
-/// the coverage comparison is template-identical (generation-0 lease
-/// seeds equal the one-shot shard seeds by the orchestrator's seed law).
+/// The shared per-shard campaign template: the merge-then-continue
+/// fleet and the one-shot reference fleet both build their leases
+/// through this, so the coverage comparison is template-identical.
 fn fleet_lease(spec: ShardSpec) -> CampaignBuilder<'static> {
     CampaignBuilder::from_factory(rocket_factory())
         .batch_size(32)
@@ -324,16 +339,6 @@ fn orchestrator_throughput(total_tests: usize, plateau_pct: f64) -> Orchestrator
     // so the comparison actually exercises merge-then-continue.
     let lease_tests = shard_tests / 2;
 
-    // One-shot reference: the same per-shard template run straight to
-    // the full budget with a single final merge.
-    let runner = InProcessRunner::new(move |spec: ShardSpec| {
-        (fleet_lease(spec).build(), vec![StopCondition::Tests(shard_tests)])
-    });
-    let oneshot = ShardedCampaign::new(runner, fan_out, base_seed)
-        .run()
-        .expect("one-shot sharded run")
-        .merged_report();
-
     let space = rocket_factory()().space().clone();
     let config = FleetConfig {
         fan_out,
@@ -343,6 +348,10 @@ fn orchestrator_throughput(total_tests: usize, plateau_pct: f64) -> Orchestrator
         heartbeat_deadline: std::time::Duration::from_secs(120),
         ..FleetConfig::new("rocket-fleet", base_seed, space, std::sync::Arc::new(fleet_lease))
     };
+    // One-shot reference: the same fleet with cadence ∞ — every lease
+    // runs straight to its share of the budget, with a single merge.
+    let oneshot_config = FleetConfig { lease_tests: shard_tests, ..config.clone() };
+    let oneshot = orchestrated_fleet(&oneshot_config, fan_out, "oneshot").0.report();
     let (merged4, generations, dt4) = orchestrated_fleet(&config, 4, "w4");
     let (merged1, _, dt1) = orchestrated_fleet(&config, 1, "w1");
     assert_eq!(
@@ -371,49 +380,85 @@ fn orchestrator_throughput(total_tests: usize, plateau_pct: f64) -> Orchestrator
 
 /// The telemetry overhead gate (PR 9): the same two-arm campaign run
 /// with a disabled sink and with a fully enabled one (metrics + events
-/// firing on every batch), best-of-`reps` each. The results must be
-/// bit-identical — telemetry observes, never perturbs — and the enabled
-/// run must stay within a few percent of the disabled wall clock.
+/// firing on every batch). The results must be bit-identical — telemetry
+/// observes, never perturbs — and the enabled run must stay within a few
+/// percent of the disabled wall clock.
+///
+/// Each pair builds both campaigns and steps them in lockstep, one batch
+/// each, alternating which side goes first, so load drift hits both
+/// sides alike. On a shared 2-core box a single campaign's speed still
+/// varies by several percent from one instance to the next, so the gate
+/// sums wall clock over many pairs and the JSON records the per-pair
+/// spread next to it.
 struct TelemetryOverhead {
     tests: usize,
+    pairs: usize,
     disabled_tests_per_sec: f64,
     enabled_tests_per_sec: f64,
-    /// enabled wall clock / disabled wall clock (1.0 = free).
+    /// Total enabled wall clock / total disabled wall clock (1.0 = free).
     overhead: f64,
+    /// Per-pair enabled/disabled wall-clock ratios: min, median, max.
+    pair_ratios: [f64; 3],
+    /// Standard error of the mean per-pair ratio.
+    pair_ratio_stderr: f64,
 }
 
-fn telemetry_overhead(tests: usize, reps: usize) -> TelemetryOverhead {
+fn telemetry_overhead(tests: usize, pairs: usize) -> TelemetryOverhead {
     let seed = 5;
-    let run = |sink: TelemetrySink| {
-        let mut best = f64::INFINITY;
-        let mut canonical = String::new();
-        for _ in 0..reps {
-            let mut campaign = CampaignBuilder::from_factory(rocket_factory())
-                .batch_size(32)
-                .workers(4)
-                .generator(RandomRegression::new(seed, 16))
-                .generator(EvolveGenerator::new(EvolveConfig { seed, ..Default::default() }))
-                .scheduler(Ucb1::new(0.5).cost_normalised())
-                .telemetry(sink.clone())
-                .build();
-            let start = Instant::now();
-            let report = campaign.run_until(&[StopCondition::Tests(tests)]);
-            best = best.min(start.elapsed().as_secs_f64());
-            canonical = chatfuzz::report::json_canonical(&report);
-        }
-        (best, canonical)
+    let build = |sink: TelemetrySink| {
+        CampaignBuilder::from_factory(rocket_factory())
+            .batch_size(32)
+            .workers(4)
+            .generator(RandomRegression::new(seed, 16))
+            .generator(EvolveGenerator::new(EvolveConfig { seed, ..Default::default() }))
+            .scheduler(Ucb1::new(0.5).cost_normalised())
+            .telemetry(sink)
+            .build()
     };
-    let (disabled_dt, disabled_json) = run(TelemetrySink::disabled());
-    let (enabled_dt, enabled_json) = run(TelemetrySink::enabled());
-    assert_eq!(
-        disabled_json, enabled_json,
-        "PR-9 neutrality: an installed telemetry sink must not change the campaign result"
-    );
+    let timed_batch = |campaign: &mut chatfuzz::Campaign<'_>| {
+        let start = Instant::now();
+        campaign.step_batch();
+        start.elapsed().as_secs_f64()
+    };
+    let stop = [StopCondition::Tests(tests)];
+    let (mut disabled_total, mut enabled_total) = (0.0, 0.0);
+    let mut ratios = Vec::with_capacity(pairs);
+    for _ in 0..pairs {
+        let mut disabled = build(TelemetrySink::disabled());
+        let mut enabled = build(TelemetrySink::enabled());
+        let (mut disabled_dt, mut enabled_dt) = (0.0, 0.0);
+        let mut disabled_first = true;
+        while disabled.stop_reason(&stop).is_none() {
+            if disabled_first {
+                disabled_dt += timed_batch(&mut disabled);
+                enabled_dt += timed_batch(&mut enabled);
+            } else {
+                enabled_dt += timed_batch(&mut enabled);
+                disabled_dt += timed_batch(&mut disabled);
+            }
+            disabled_first = !disabled_first;
+        }
+        assert_eq!(
+            chatfuzz::report::json_canonical(&disabled.report()),
+            chatfuzz::report::json_canonical(&enabled.report()),
+            "PR-9 neutrality: an installed telemetry sink must not change the campaign result"
+        );
+        disabled_total += disabled_dt;
+        enabled_total += enabled_dt;
+        ratios.push(enabled_dt / disabled_dt);
+    }
+    let n = ratios.len() as f64;
+    let mean = ratios.iter().sum::<f64>() / n;
+    let variance = ratios.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    ratios.sort_by(f64::total_cmp);
     TelemetryOverhead {
         tests,
-        disabled_tests_per_sec: tests as f64 / disabled_dt,
-        enabled_tests_per_sec: tests as f64 / enabled_dt,
-        overhead: enabled_dt / disabled_dt,
+        pairs,
+        disabled_tests_per_sec: (pairs * tests) as f64 / disabled_total,
+        enabled_tests_per_sec: (pairs * tests) as f64 / enabled_total,
+        overhead: enabled_total / disabled_total,
+        pair_ratios: [ratios[0], ratios[ratios.len() / 2], ratios[ratios.len() - 1]],
+        pair_ratio_stderr: (variance / n).sqrt(),
     }
 }
 
@@ -593,7 +638,7 @@ fn main() {
     let evolve = evolve_comparison(campaign_tests);
     let orch = orchestrator_throughput(campaign_tests, evolve.plateau_pct);
     let lm = lm_throughput(args.smoke);
-    let tele = telemetry_overhead(campaign_tests, reps);
+    let tele = telemetry_overhead(8192, 20);
 
     let rocket_speedup = rocket_hot.tests_per_sec / rocket_naive.tests_per_sec;
     let boom_speedup = boom_hot.tests_per_sec / boom_naive.tests_per_sec;
@@ -660,12 +705,18 @@ fn main() {
         lm.al_publish_epochs,
     );
     println!(
-        "telemetry overhead over {} tests: enabled {:.0} tests/s vs disabled {:.0} \
-         ({:+.2}%), results bit-identical",
+        "telemetry overhead over {} interleaved pairs of {} tests: enabled {:.0} tests/s vs \
+         disabled {:.0} ({:+.2}%; per-pair ratios {:.3}..{:.3}, median {:.3}, stderr {:.4}), \
+         results bit-identical",
+        tele.pairs,
         tele.tests,
         tele.enabled_tests_per_sec,
         tele.disabled_tests_per_sec,
         100.0 * (tele.overhead - 1.0),
+        tele.pair_ratios[0],
+        tele.pair_ratios[2],
+        tele.pair_ratios[1],
+        tele.pair_ratio_stderr,
     );
     match evolve.evolve_tests {
         Some(tests) => println!(
@@ -684,7 +735,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": 6,");
+    let _ = writeln!(json, "  \"schema\": 7,");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if args.smoke { "smoke" } else { "full" });
     let _ = writeln!(json, "  \"per_test_hot_path\": {{");
     let pair =
@@ -775,9 +826,15 @@ fn main() {
     json.push_str("  },\n");
     let _ = writeln!(json, "  \"telemetry_overhead\": {{");
     let _ = writeln!(json, "    \"tests\": {},", tele.tests);
+    let _ = writeln!(json, "    \"pairs\": {},", tele.pairs);
     let _ = writeln!(json, "    \"disabled_tests_per_sec\": {:.1},", tele.disabled_tests_per_sec);
     let _ = writeln!(json, "    \"enabled_tests_per_sec\": {:.1},", tele.enabled_tests_per_sec);
-    let _ = writeln!(json, "    \"overhead\": {:.4}", tele.overhead);
+    let _ = writeln!(json, "    \"overhead\": {:.4},", tele.overhead);
+    let [lo, median, hi] = tele.pair_ratios;
+    let _ = writeln!(json, "    \"pair_ratio_min\": {lo:.4},");
+    let _ = writeln!(json, "    \"pair_ratio_median\": {median:.4},");
+    let _ = writeln!(json, "    \"pair_ratio_max\": {hi:.4},");
+    let _ = writeln!(json, "    \"pair_ratio_stderr\": {:.4}", tele.pair_ratio_stderr);
     json.push_str("  }\n}\n");
 
     std::fs::write(&args.out, &json).expect("write BENCH_throughput.json");

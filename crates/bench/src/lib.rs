@@ -1,6 +1,6 @@
-//! Shared support for the experiment binaries (`src/bin/*`) and Criterion
-//! benches: standard configurations, a trained-generator factory, and
-//! CSV/markdown/JSON result writers.
+//! Shared support for the experiment binaries (`src/bin/*`): standard
+//! configurations, a trained-generator factory, and CSV/markdown/JSON
+//! result writers.
 //!
 //! Every experiment binary regenerates one table or figure of the paper's
 //! evaluation and writes its rows to stdout, to `results/<name>.csv`, and

@@ -30,9 +30,9 @@
 //!   crash boundaries, transient io errors, dropped heartbeats,
 //!   duplicated/reordered events) behind the one atomic-write choke
 //!   point the durability layer uses;
-//! * [`shard`] — horizontal scaling: split one campaign into N shard
-//!   sub-campaigns with disjoint RNG streams (in-process or spawned
-//!   sub-processes) and merge the results — coverage maps union,
+//! * [`shard`] — the split/merge layer of horizontal scaling: seed N
+//!   shard sub-campaigns with disjoint RNG streams and merge their
+//!   snapshots (the orchestrator crate runs them) — coverage maps union,
 //!   evolutionary corpora pool as a fingerprint-deduped union, model
 //!   state carries over from shard 0;
 //! * [`pipeline`] — the three-step training pipeline (paper Fig. 1b);
@@ -123,7 +123,4 @@ pub use pipeline::{
     train_chatfuzz, ChatFuzzModel, CleanupPoint, ModelScale, OptimizePoint, PipelineConfig,
     PipelineReport,
 };
-pub use shard::{
-    resplit_snapshot, shard_seed, InProcessRunner, ProcessShardRunner, ShardError, ShardRunner,
-    ShardSpec, ShardedCampaign, ShardedOutcome, WorkerRequest,
-};
+pub use shard::{resplit_snapshot, shard_seed, ShardError, ShardSpec, ShardedOutcome};

@@ -1553,7 +1553,10 @@ pub fn lineage_path(path: &Path, depth: usize) -> std::path::PathBuf {
 /// `{path}.1` to `{path}.2`, and so on, keeping up to `keep` rotated
 /// generations (the oldest is renamed over, not deleted early — with
 /// `keep = 0` this degrades to a plain overwriting [`save_snapshot`]).
-/// A crash anywhere in the rotation leaves a gap at worst;
+/// The live document is hard-linked to `{path}.1`, not renamed, so
+/// `path` always holds a complete generation: the new one replaces it
+/// only through the atomic rename at the end. A crash anywhere in the
+/// rotation leaves a gap behind the live file at worst;
 /// [`load_latest_valid`] scans past gaps.
 pub fn save_snapshot_rotated(path: &Path, snapshot: &CampaignSnapshot, keep: usize) -> Result<()> {
     let rotate = |from: std::path::PathBuf, to: std::path::PathBuf| -> Result<()> {
@@ -1568,7 +1571,19 @@ pub fn save_snapshot_rotated(path: &Path, snapshot: &CampaignSnapshot, keep: usi
         rotate(lineage_path(path, depth), lineage_path(path, depth + 1))?;
     }
     if keep > 0 {
-        rotate(path.to_path_buf(), lineage_path(path, 1))?;
+        // With `keep = 1` (or after a failed rotation) a stale `.1` is
+        // still in the way of the link.
+        let first = lineage_path(path, 1);
+        match std::fs::remove_file(&first) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(PersistError::from(e).at(&first)),
+        }
+        match std::fs::hard_link(path, &first) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(PersistError::from(e).at(path)),
+        }
     }
     save_snapshot(path, snapshot)
 }
@@ -2102,6 +2117,13 @@ mod tests {
         assert_eq!(snapshot_json(&recovery.snapshot.expect("found")), snapshot_json(&series[2]));
         assert!(recovery.quarantined.is_empty() && recovery.skipped.is_empty());
         assert_eq!(recovery.checksum_failures, 0);
+
+        // `keep = 1` links over a stale `.1`; the live file and its
+        // predecessor stay separate files once the save completes.
+        save_snapshot_rotated(&path, &series[0], 1).expect("save");
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), snapshot_json(&series[0]));
+        let previous = std::fs::read_to_string(lineage_path(&path, 1)).expect("read");
+        assert_eq!(previous, snapshot_json(&series[2]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

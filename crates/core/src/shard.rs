@@ -1,11 +1,20 @@
-//! Horizontally sharded campaigns.
+//! The split/merge layer of horizontally sharded campaigns.
 //!
 //! One fuzzing campaign becomes N *shard* sub-campaigns that run the same
 //! DUT with disjoint input streams and merge their results — the TheHuzz
 //! scaling recipe ("many simulator instances, one coverage report")
-//! lifted above the single-process worker pool that [`Campaign`] already
-//! owns. Shards are embarrassingly parallel: no coordination during the
-//! run, one deterministic merge at the end.
+//! lifted above the single-process worker pool that [`Campaign`]
+//! already owns. This module holds only the pure halves of that recipe:
+//! how a shard is seeded ([`shard_seed`], [`ShardSpec`]), how shard
+//! snapshots fold into one ([`ShardedOutcome`]), and how a merged
+//! snapshot re-splits into continuation leases ([`resplit_snapshot`]).
+//! Running the shards is the orchestrator's job (the
+//! `chatfuzz_orchestrate` crate): it hands leases to worker threads or
+//! spool worker processes and folds every generation through this
+//! module. A one-shot N-shard campaign is simply a fleet whose leases
+//! cover the whole budget in one generation.
+//!
+//! [`Campaign`]: crate::Campaign
 //!
 //! # RNG stream scheme
 //!
@@ -19,20 +28,6 @@
 //!   total shard count, so growing a campaign from N to M > N shards
 //!   re-runs the first N shards identically and coverage is monotone in
 //!   the shard count.
-//!
-//! # Process model
-//!
-//! [`ShardRunner`] abstracts *where* a shard runs. [`InProcessRunner`]
-//! builds and drives a [`Campaign`] on a thread in this process (the
-//! default; cheapest). [`ProcessShardRunner`] spawns a worker
-//! sub-process per shard via `std::process::Command` and hands it the
-//! shard assignment through the `CHATFUZZ_SHARD_*` environment variables
-//! (not argv, so even a libtest binary can be a worker); the worker runs
-//! the shard and writes its [`CampaignSnapshot`] with [`crate::persist`],
-//! which the parent loads back. [`WorkerRequest::from_env`] is the
-//! worker-side half of the protocol; both halves encode and decode
-//! through the one [`proto::Assignment`] struct, which other carriers
-//! (the orchestrator's filesystem-spool leases) reuse.
 //!
 //! # Merging
 //!
@@ -58,8 +53,8 @@
 //!
 //! # Merge-then-continue
 //!
-//! Long-lived fleets (the `chatfuzz_orchestrate` crate) don't merge
-//! once — they merge on a cadence and keep going. Two more pieces serve
+//! A fleet whose leases cover less than the whole budget doesn't merge
+//! once — it merges on a cadence and keeps going. Two more pieces serve
 //! that loop: [`ShardedOutcome::merged_snapshot_over_base`] merges
 //! shards that all *continued from* a common base snapshot without
 //! double-counting the shared prefix, and [`resplit_snapshot`] derives
@@ -68,49 +63,71 @@
 //! one stream N times.
 
 use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::Arc;
-use std::time::Duration;
 
 use chatfuzz_baselines::{CorpusSeedState, PendingRollout};
-use chatfuzz_coverage::{Calculator, CovMap, Space};
+use chatfuzz_coverage::{Calculator, CovMap};
 use chatfuzz_lm::tokenizer::TokenizerKind;
 use chatfuzz_lm::Tokenizer;
 
-use crate::campaign::{Campaign, CampaignReport, CampaignSnapshot, CoveragePoint, StopCondition};
-use crate::persist::{self, PersistError};
-
-pub use proto::{ENV_SHARD_COUNT, ENV_SHARD_INDEX, ENV_SHARD_OUT, ENV_SHARD_SEED};
+use crate::campaign::{CampaignSnapshot, CoveragePoint};
 
 pub mod proto {
-    //! The `CHATFUZZ_SHARD_*` worker-assignment protocol, in one place.
+    //! The shard-assignment half of a spool lease, in one place.
     //!
-    //! A shard assignment travels from the coordinating process to a
-    //! worker as four key/value pairs: index, count, seed, and the path
-    //! the worker must write its snapshot to. [`Assignment`] owns both
-    //! directions — [`Assignment::pairs`] is the single encoder (applied
-    //! to a child's environment by [`Assignment::apply`], or written
-    //! into a lease file by a transport), and [`Assignment::from_lookup`]
-    //! is the single decoder ([`Assignment::from_env`] for the
-    //! environment-variable carrier). Keeping encode and decode on one
-    //! struct means a new carrier — e.g. the orchestrator's
-    //! filesystem-spool leases — cannot drift from the runner protocol.
+    //! A shard assignment travels from the orchestrator to a spool worker
+    //! as four key/value pairs inside the lease file: index, count, seed,
+    //! and the path the worker must write its snapshot to. [`Assignment`]
+    //! owns both directions — [`Assignment::pairs`] is the single encoder
+    //! and [`Assignment::from_lookup`] the single decoder — so the two
+    //! cannot drift. A lease read back from disk may be torn or hand
+    //! edited, so decoding reports a [`MalformedField`] instead of
+    //! panicking.
 
+    use std::fmt;
     use std::path::{Path, PathBuf};
-    use std::process::Command;
+    use std::str::FromStr;
 
     use super::ShardSpec;
 
     /// Key carrying the worker's shard index.
-    pub const ENV_SHARD_INDEX: &str = "CHATFUZZ_SHARD_INDEX";
+    pub const KEY_SHARD_INDEX: &str = "CHATFUZZ_SHARD_INDEX";
     /// Key carrying the total shard count.
-    pub const ENV_SHARD_COUNT: &str = "CHATFUZZ_SHARD_COUNT";
+    pub const KEY_SHARD_COUNT: &str = "CHATFUZZ_SHARD_COUNT";
     /// Key carrying the shard's derived generator seed.
-    pub const ENV_SHARD_SEED: &str = "CHATFUZZ_SHARD_SEED";
+    pub const KEY_SHARD_SEED: &str = "CHATFUZZ_SHARD_SEED";
     /// Key carrying the path the worker must write its snapshot to.
-    pub const ENV_SHARD_OUT: &str = "CHATFUZZ_SHARD_OUT";
+    pub const KEY_SHARD_OUT: &str = "CHATFUZZ_SHARD_OUT";
+
+    /// A lease field that is missing or does not parse: the key, and
+    /// what the carrier held under it. When a whole lease file fails to
+    /// decode, `key` names the file and `value` holds its text.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MalformedField {
+        /// The offending key.
+        pub key: String,
+        /// The carrier's value for `key`; `None` when the key is absent.
+        pub value: Option<String>,
+    }
+
+    impl fmt::Display for MalformedField {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match &self.value {
+                None => write!(f, "lease field `{}` is missing", self.key),
+                Some(value) => write!(f, "lease field `{}` is malformed: `{value}`", self.key),
+            }
+        }
+    }
+
+    impl std::error::Error for MalformedField {}
+
+    /// Parses the value a carrier holds under `key`, naming the key and
+    /// the offending value on failure.
+    pub fn parse_field<T: FromStr>(key: &str, value: Option<String>) -> Result<T, MalformedField> {
+        let Some(value) = value else {
+            return Err(MalformedField { key: key.to_string(), value: None });
+        };
+        value.parse().map_err(|_| MalformedField { key: key.to_string(), value: Some(value) })
+    }
 
     /// One worker assignment: the shard spec plus the snapshot output
     /// path — everything a worker needs to run its slice.
@@ -128,53 +145,26 @@ pub mod proto {
             Assignment { spec, out: out.into() }
         }
 
-        /// The four protocol pairs, in canonical order. Every carrier —
-        /// environment variables, lease files — encodes exactly these.
+        /// The four protocol pairs, in canonical order.
         pub fn pairs(&self) -> [(&'static str, String); 4] {
             [
-                (ENV_SHARD_INDEX, self.spec.index.to_string()),
-                (ENV_SHARD_COUNT, self.spec.shards.to_string()),
-                (ENV_SHARD_SEED, self.spec.seed.to_string()),
-                (ENV_SHARD_OUT, self.out.display().to_string()),
+                (KEY_SHARD_INDEX, self.spec.index.to_string()),
+                (KEY_SHARD_COUNT, self.spec.shards.to_string()),
+                (KEY_SHARD_SEED, self.spec.seed.to_string()),
+                (KEY_SHARD_OUT, self.out.display().to_string()),
             ]
         }
 
-        /// Applies the assignment to a child process's environment.
-        pub fn apply(&self, command: &mut Command) {
-            for (key, value) in self.pairs() {
-                command.env(key, value);
-            }
-        }
-
-        /// Decodes an assignment from any key→value carrier. Returns
-        /// `None` when [`ENV_SHARD_INDEX`] is absent (the carrier holds
-        /// no assignment at all).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the carrier holds a partial or malformed
-        /// assignment — encoder and decoder disagree about the
-        /// protocol, which no in-band recovery fixes.
-        pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Option<Assignment> {
-            let index = get(ENV_SHARD_INDEX)?;
-            let read = |key: &str| {
-                get(key).unwrap_or_else(|| panic!("worker assignment incomplete: {key} missing"))
-            };
-            let parse = |key: &str, value: String| {
-                value.parse::<u64>().unwrap_or_else(|_| panic!("bad {key}: `{value}`"))
-            };
+        /// Decodes an assignment from any key→value carrier.
+        pub fn from_lookup(
+            get: impl Fn(&str) -> Option<String>,
+        ) -> Result<Assignment, MalformedField> {
             let spec = ShardSpec {
-                index: parse(ENV_SHARD_INDEX, index) as usize,
-                shards: parse(ENV_SHARD_COUNT, read(ENV_SHARD_COUNT)) as usize,
-                seed: parse(ENV_SHARD_SEED, read(ENV_SHARD_SEED)),
+                index: parse_field(KEY_SHARD_INDEX, get(KEY_SHARD_INDEX))?,
+                shards: parse_field(KEY_SHARD_COUNT, get(KEY_SHARD_COUNT))?,
+                seed: parse_field(KEY_SHARD_SEED, get(KEY_SHARD_SEED))?,
             };
-            Some(Assignment { spec, out: PathBuf::from(read(ENV_SHARD_OUT)) })
-        }
-
-        /// Decodes the assignment this process was spawned with, if any
-        /// (the environment-variable carrier of [`Assignment::from_lookup`]).
-        pub fn from_env() -> Option<Assignment> {
-            Assignment::from_lookup(|key| std::env::var(key).ok())
+            Ok(Assignment { spec, out: parse_field(KEY_SHARD_OUT, get(KEY_SHARD_OUT))? })
         }
 
         /// The snapshot output path.
@@ -209,30 +199,9 @@ pub struct ShardSpec {
     pub seed: u64,
 }
 
-/// Why a sharded run failed.
+/// Why shard snapshots could not be merged.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Spawning a worker sub-process failed.
-    Spawn {
-        /// Shard that failed to spawn.
-        shard: usize,
-        /// The underlying error.
-        error: io::Error,
-    },
-    /// A worker sub-process exited unsuccessfully.
-    Worker {
-        /// Shard that failed.
-        shard: usize,
-        /// Exit status and trailing stderr.
-        detail: String,
-    },
-    /// A worker's snapshot could not be loaded.
-    Snapshot {
-        /// Shard whose snapshot failed to load.
-        shard: usize,
-        /// The underlying error.
-        error: PersistError,
-    },
     /// The shard snapshots disagree (different DUT, space, or generator
     /// line-up) and cannot be merged.
     Merge(String),
@@ -241,13 +210,6 @@ pub enum ShardError {
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardError::Spawn { shard, error } => {
-                write!(f, "shard {shard}: failed to spawn worker: {error}")
-            }
-            ShardError::Worker { shard, detail } => write!(f, "shard {shard}: {detail}"),
-            ShardError::Snapshot { shard, error } => {
-                write!(f, "shard {shard}: bad snapshot: {error}")
-            }
             ShardError::Merge(msg) => write!(f, "shard merge: {msg}"),
         }
     }
@@ -255,211 +217,13 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Where and how one shard runs. Implementations must be shareable
-/// across the spawning threads ([`ShardedCampaign::run`] drives all
-/// shards in parallel).
-pub trait ShardRunner: Sync {
-    /// Runs the shard to completion and returns its checkpoint.
-    fn run_shard(&self, spec: ShardSpec) -> Result<CampaignSnapshot, ShardError>;
-}
-
-/// Runs each shard as a [`Campaign`] on a thread in this process.
-///
-/// The closure receives the shard's [`ShardSpec`] and returns the fully
-/// built campaign plus the stop conditions to drive it to; generators
-/// must be seeded from [`ShardSpec::seed`] for the disjoint-stream
-/// guarantee to hold.
-pub struct InProcessRunner<F> {
-    build: F,
-}
-
-impl<F> InProcessRunner<F>
-where
-    F: Fn(ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) + Sync,
-{
-    /// Wraps a shard-campaign constructor.
-    pub fn new(build: F) -> InProcessRunner<F> {
-        InProcessRunner { build }
-    }
-}
-
-impl<F> ShardRunner for InProcessRunner<F>
-where
-    F: Fn(ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) + Sync,
-{
-    fn run_shard(&self, spec: ShardSpec) -> Result<CampaignSnapshot, ShardError> {
-        let (mut campaign, stops) = (self.build)(spec);
-        campaign.run_until(&stops);
-        Ok(campaign.snapshot())
-    }
-}
-
-/// Runs each shard in a spawned worker sub-process.
-///
-/// The parent sets the `CHATFUZZ_SHARD_*` environment variables on the
-/// child (see module docs), waits for it, and loads the snapshot the
-/// worker wrote. Any program whose worker path calls
-/// [`WorkerRequest::from_env`] qualifies: the `shard_campaign` bench
-/// binary, or a libtest binary re-invoking one of its own tests.
-pub struct ProcessShardRunner {
-    program: PathBuf,
-    args: Vec<String>,
-    out_dir: PathBuf,
-    space: Arc<Space>,
-}
-
-impl ProcessShardRunner {
-    /// Creates a runner spawning `program`, collecting worker snapshots
-    /// under `out_dir` (one `shard-<index>.json` each), and parsing them
-    /// over `space` (probe the DUT factory once for it).
-    pub fn new(
-        program: impl Into<PathBuf>,
-        out_dir: impl Into<PathBuf>,
-        space: Arc<Space>,
-    ) -> ProcessShardRunner {
-        ProcessShardRunner {
-            program: program.into(),
-            args: Vec::new(),
-            out_dir: out_dir.into(),
-            space,
-        }
-    }
-
-    /// Appends an argument to the worker command line (repeatable).
-    pub fn arg(mut self, arg: impl Into<String>) -> ProcessShardRunner {
-        self.args.push(arg.into());
-        self
-    }
-
-    fn out_path(&self, index: usize) -> PathBuf {
-        self.out_dir.join(format!("shard-{index}.json"))
-    }
-}
-
-impl ShardRunner for ProcessShardRunner {
-    fn run_shard(&self, spec: ShardSpec) -> Result<CampaignSnapshot, ShardError> {
-        let out = self.out_path(spec.index);
-        let _ = std::fs::remove_file(&out); // never load a stale snapshot
-        let mut command = Command::new(&self.program);
-        command.args(&self.args);
-        proto::Assignment::new(spec, &out).apply(&mut command);
-        let output =
-            command.output().map_err(|error| ShardError::Spawn { shard: spec.index, error })?;
-        if !output.status.success() {
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            let tail: String = stderr
-                .lines()
-                .rev()
-                .take(10)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .rev()
-                .collect::<Vec<_>>()
-                .join("\n");
-            return Err(ShardError::Worker {
-                shard: spec.index,
-                detail: format!("worker exited with {}: {tail}", output.status),
-            });
-        }
-        persist::load_snapshot(&out, &self.space)
-            .map_err(|error| ShardError::Snapshot { shard: spec.index, error })
-    }
-}
-
-/// The worker-side half of the cross-process protocol: the shard
-/// assignment this process was spawned with, if any.
-#[derive(Debug, Clone)]
-pub struct WorkerRequest {
-    /// The assigned shard.
-    pub spec: ShardSpec,
-    out: PathBuf,
-}
-
-impl WorkerRequest {
-    /// Reads the `CHATFUZZ_SHARD_*` environment variables (via
-    /// [`proto::Assignment::from_env`]). Returns `None` when this
-    /// process was not spawned as a shard worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variables are present but malformed — the spawning
-    /// parent and this worker disagree about the protocol, which no
-    /// amount of in-band recovery fixes.
-    pub fn from_env() -> Option<WorkerRequest> {
-        let assignment = proto::Assignment::from_env()?;
-        Some(WorkerRequest { spec: assignment.spec, out: assignment.out })
-    }
-
-    /// Where the parent expects this worker's snapshot.
-    pub fn out_path(&self) -> &Path {
-        &self.out
-    }
-
-    /// Writes the finished shard's snapshot where the parent expects it
-    /// (atomically, via [`persist::save_snapshot`]; any failure names
-    /// the output path).
-    pub fn fulfil(&self, snapshot: &CampaignSnapshot) -> Result<(), persist::PersistError> {
-        persist::save_snapshot(&self.out, snapshot)
-    }
-}
-
-/// A campaign split into N parallel shard sub-campaigns.
-pub struct ShardedCampaign<R> {
-    runner: R,
-    shards: usize,
-    base_seed: u64,
-}
-
-impl<R: ShardRunner> ShardedCampaign<R> {
-    /// Creates a sharded campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(runner: R, shards: usize, base_seed: u64) -> ShardedCampaign<R> {
-        assert!(shards > 0, "a campaign needs at least one shard");
-        ShardedCampaign { runner, shards, base_seed }
-    }
-
-    /// The shard assignments this campaign will run.
-    pub fn specs(&self) -> Vec<ShardSpec> {
-        (0..self.shards)
-            .map(|index| ShardSpec {
-                index,
-                shards: self.shards,
-                seed: shard_seed(self.base_seed, index),
-            })
-            .collect()
-    }
-
-    /// Runs every shard in parallel and collects the outcome. The first
-    /// failing shard (by index) decides the error.
-    pub fn run(&self) -> Result<ShardedOutcome, ShardError> {
-        let specs = self.specs();
-        let results: Vec<Result<CampaignSnapshot, ShardError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .iter()
-                .map(|&spec| scope.spawn(move || self.runner.run_shard(spec)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
-        });
-        let mut snapshots = Vec::with_capacity(results.len());
-        for result in results {
-            snapshots.push(result?);
-        }
-        ShardedOutcome::new(snapshots)
-    }
-}
-
 /// The collected shard snapshots of one sharded run, plus the merge ops.
 pub struct ShardedOutcome {
     snapshots: Vec<CampaignSnapshot>,
 }
 
 impl ShardedOutcome {
-    /// Validates and wraps per-shard snapshots (shard order). Exposed so
-    /// snapshots gathered out of band — e.g. loaded from a directory of
-    /// worker outputs — merge through the same path.
+    /// Validates and wraps per-shard snapshots (shard order).
     pub fn new(snapshots: Vec<CampaignSnapshot>) -> Result<ShardedOutcome, ShardError> {
         let Some(first) = snapshots.first() else {
             return Err(ShardError::Merge("no shard snapshots".to_string()));
@@ -546,22 +310,6 @@ impl ShardedOutcome {
     /// descend from `base` — its counters would be below the base's.
     pub fn merged_snapshot_over_base(&self, base: &CampaignSnapshot) -> CampaignSnapshot {
         fold_snapshots(&self.snapshots, Some(base))
-    }
-
-    /// The merged snapshot rendered as a [`CampaignReport`].
-    pub fn merged_report(&self) -> CampaignReport {
-        self.merged_snapshot().report()
-    }
-
-    /// Merged cumulative coverage percentage.
-    pub fn merged_coverage_pct(&self) -> f64 {
-        self.merged_coverage().percent()
-    }
-
-    /// Wall clock of the merged run (the slowest shard, since shards run
-    /// in parallel).
-    pub fn wall(&self) -> Duration {
-        self.snapshots.iter().map(|s| s.wall).max().unwrap_or(Duration::ZERO)
     }
 }
 
@@ -775,8 +523,10 @@ pub fn resplit_snapshot(merged: &CampaignSnapshot, lease_seed: u64) -> CampaignS
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::campaign::{CampaignBuilder, DutFactory};
+    use crate::campaign::{CampaignBuilder, DutFactory, StopCondition};
     use chatfuzz_baselines::RandomRegression;
     use chatfuzz_rtl::{BugConfig, Dut, Rocket, RocketConfig};
 
@@ -787,17 +537,21 @@ mod tests {
         })
     }
 
-    fn runner(
-        tests: usize,
-    ) -> InProcessRunner<impl Fn(ShardSpec) -> (Campaign<'static>, Vec<StopCondition>) + Sync> {
-        InProcessRunner::new(move |spec: ShardSpec| {
-            let campaign = CampaignBuilder::from_factory(factory())
-                .batch_size(16)
-                .workers(2)
-                .generator(RandomRegression::new(spec.seed, 16))
-                .build();
-            (campaign, vec![StopCondition::Tests(tests)])
-        })
+    /// Runs `shards` seeded shard campaigns of `tests` tests each, one
+    /// after another, and collects their snapshots for merging.
+    fn run_shards(shards: usize, base_seed: u64, tests: usize) -> ShardedOutcome {
+        let snapshots = (0..shards)
+            .map(|index| {
+                let mut campaign = CampaignBuilder::from_factory(factory())
+                    .batch_size(16)
+                    .workers(2)
+                    .generator(RandomRegression::new(shard_seed(base_seed, index), 16))
+                    .build();
+                campaign.run_until(&[StopCondition::Tests(tests)]);
+                campaign.snapshot()
+            })
+            .collect();
+        ShardedOutcome::new(snapshots).expect("shard snapshots merge")
     }
 
     #[test]
@@ -814,8 +568,7 @@ mod tests {
 
     #[test]
     fn sharded_run_merges_counters_and_coverage() {
-        let sharded = ShardedCampaign::new(runner(32), 3, 11);
-        let outcome = sharded.run().expect("shards succeed");
+        let outcome = run_shards(3, 11, 32);
         assert_eq!(outcome.shards(), 3);
         let merged = outcome.merged_snapshot();
         assert_eq!(merged.tests_run(), 96, "3 shards × 32 tests");
@@ -827,7 +580,7 @@ mod tests {
         }
         assert_eq!(merged.coverage().covered_bins(), union.covered_bins());
         // History stays strictly increasing in tests and monotone in bins.
-        let report = outcome.merged_report();
+        let report = merged.report();
         for pair in report.history.windows(2) {
             assert!(pair[1].tests > pair[0].tests);
             assert!(pair[1].covered_bins >= pair[0].covered_bins);
@@ -836,8 +589,7 @@ mod tests {
 
     #[test]
     fn merged_snapshot_is_resumable() {
-        let sharded = ShardedCampaign::new(runner(32), 2, 5);
-        let outcome = sharded.run().expect("shards succeed");
+        let outcome = run_shards(2, 5, 32);
         let merged = outcome.merged_snapshot();
         let tests_so_far = merged.tests_run();
         let mut resumed = CampaignBuilder::from_factory(factory())
@@ -848,7 +600,7 @@ mod tests {
             .build();
         let report = resumed.run_until(&[StopCondition::Tests(tests_so_far + 32)]);
         assert_eq!(report.tests_run, tests_so_far + 32);
-        assert!(report.final_coverage_pct >= outcome.merged_coverage_pct());
+        assert!(report.final_coverage_pct >= outcome.merged_coverage().percent());
     }
 
     #[test]
@@ -858,16 +610,35 @@ mod tests {
         let pairs: std::collections::HashMap<&str, String> =
             assignment.pairs().into_iter().collect();
         let decoded = proto::Assignment::from_lookup(|key| pairs.get(key).cloned())
-            .expect("assignment present");
+            .expect("assignment decodes");
         assert_eq!(decoded, assignment);
-        // An empty carrier holds no assignment (the common non-worker case).
-        assert!(proto::Assignment::from_lookup(|_| None).is_none());
+        // A carrier without the assignment names the first missing key.
+        assert_eq!(
+            proto::Assignment::from_lookup(|_| None),
+            Err(proto::MalformedField { key: proto::KEY_SHARD_INDEX.to_string(), value: None })
+        );
+        // A partial or non-numeric assignment is an error, not a panic.
+        let partial = |key: &str| (key == proto::KEY_SHARD_INDEX).then(|| "3".to_string());
+        assert_eq!(
+            proto::Assignment::from_lookup(partial).unwrap_err().key,
+            proto::KEY_SHARD_COUNT
+        );
+        let bad_seed = |key: &str| match key {
+            proto::KEY_SHARD_SEED => Some("0xbeef".to_string()),
+            _ => pairs.get(key).cloned(),
+        };
+        assert_eq!(
+            proto::Assignment::from_lookup(bad_seed),
+            Err(proto::MalformedField {
+                key: proto::KEY_SHARD_SEED.to_string(),
+                value: Some("0xbeef".to_string())
+            })
+        );
     }
 
     #[test]
     fn base_delta_merge_counts_the_shared_prefix_once() {
-        let base =
-            ShardedCampaign::new(runner(32), 2, 7).run().expect("base shards").merged_snapshot();
+        let base = run_shards(2, 7, 32).merged_snapshot();
 
         // Two leases continue from the same merged base.
         let mut leases = Vec::new();

@@ -1,9 +1,10 @@
 //! Campaign orchestration: elastic worker fleets with leases,
 //! merge-then-continue, and a streaming status API.
 //!
-//! The `shard` module in the core crate scales one campaign across N
-//! workers *once*: split, run, merge. This crate makes that loop
-//! long-lived and fault-tolerant. An [`Orchestrator`] owns a registry of
+//! The `shard` module in the core crate holds the pure halves of
+//! sharding: how N shards are seeded and how their snapshots fold into
+//! one. This crate runs the shards, once or on a merge cadence, and
+//! keeps the loop fault-tolerant. An [`Orchestrator`] owns a registry of
 //! tenant campaigns ([`FleetConfig`]), splits each into shard **leases**,
 //! and hands the leases to workers over a pluggable [`Transport`]:
 //!
@@ -76,7 +77,9 @@
 //! re-splits the merged snapshot into a fresh fan-out — every shard of
 //! the next generation continues from pooled coverage and a pooled
 //! corpus instead of its own island, with freshly decorrelated RNG
-//! streams.
+//! streams. With `lease_tests * fan_out == total_tests` the cadence is
+//! ∞: one generation, one merge — a one-shot N-shard campaign, and the
+//! lease seeds of generation 0 are `shard_seed(base_seed, index)`.
 //!
 //! # Status
 //!

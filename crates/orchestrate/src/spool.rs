@@ -18,12 +18,17 @@
 //!
 //! `<lease>` is the attempt-scoped stem `c{campaign}-g{gen}-l{index}-a{attempt}`,
 //! so a revoked attempt's late artefacts can never collide with its
-//! reissue. The shard half of a work order rides the same four
-//! `CHATFUZZ_SHARD_*` keys the subprocess sharding protocol uses,
-//! encoded and decoded by [`chatfuzz::shard::proto::Assignment`].
+//! reissue. The shard half of a work order rides four `CHATFUZZ_SHARD_*`
+//! keys, encoded and decoded by [`chatfuzz::shard::proto::Assignment`].
+//! A lease a worker cannot decode (torn, missing a key, a non-numeric
+//! field, an unregistered campaign) is refused with a
+//! [`MalformedField`] logged to the telemetry event stream; the order
+//! goes unserved, and the orchestrator's heartbeat deadline revokes and
+//! reissues it.
 
 use std::collections::BTreeMap;
 use std::io;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -32,7 +37,7 @@ use std::time::Duration;
 use chatfuzz::campaign::{BatchOutcome, StopCondition};
 use chatfuzz::faults::FaultPlan;
 use chatfuzz::persist::Recovery;
-use chatfuzz::shard::proto::Assignment;
+use chatfuzz::shard::proto::{parse_field, Assignment, MalformedField};
 use chatfuzz_coverage::Space;
 
 use crate::lease::{artefact_stem, LeaseBuilder, LeaseId, WorkOrder};
@@ -505,17 +510,18 @@ impl SpoolWorker {
                 return served;
             }
             match self.claim_next() {
-                Some(order) => {
-                    self.serve_order(&order);
-                    served += 1;
-                }
+                Some((name, text)) => match self.serve_order(&name, &text) {
+                    Ok(()) => served += 1,
+                    Err(error) => self.refuse(&name, &error),
+                },
                 None => std::thread::sleep(self.poll_interval),
             }
         }
     }
 
-    /// Claims the oldest unclaimed work order, if any.
-    fn claim_next(&self) -> Option<BTreeMap<String, String>> {
+    /// Claims the oldest unclaimed work order, if any, returning its
+    /// file name and text.
+    fn claim_next(&self) -> Option<(String, String)> {
         let mut names: Vec<String> = std::fs::read_dir(self.root.join(INBOX))
             .ok()?
             .filter_map(|e| e.ok())
@@ -529,45 +535,60 @@ impl SpoolWorker {
             // The rename is the claim: exactly one worker wins it, losers
             // move on to the next order.
             if std::fs::rename(&from, &to).is_ok() {
-                if let Some(map) = std::fs::read_to_string(&to).ok().and_then(|t| decode_flat(&t)) {
-                    return Some(map);
+                if let Ok(text) = std::fs::read_to_string(&to) {
+                    return Some((name, text));
                 }
             }
         }
         None
     }
 
-    /// Runs one claimed order to completion and publishes the result.
-    fn serve_order(&self, order: &BTreeMap<String, String>) {
-        let assignment = Assignment::from_lookup(|key| order.get(key).cloned())
-            .expect("spool lease carries a shard assignment");
-        let campaign = order.get("campaign").expect("spool lease names its campaign");
-        let (_, build, space) = self
-            .templates
-            .iter()
-            .find(|(name, ..)| name == campaign)
-            .unwrap_or_else(|| panic!("no template registered for campaign `{campaign}`"));
-        let field = |key: &str| {
-            order
-                .get(key)
-                .unwrap_or_else(|| panic!("spool lease missing `{key}`"))
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("spool lease field `{key}` is not a number"))
+    /// Logs a refused lease to the event stream, in the trace file its
+    /// stem would have used. The order stays unserved: no heartbeat
+    /// ever arrives, so the orchestrator revokes and reissues it.
+    fn refuse(&self, name: &str, error: &MalformedField) {
+        let sink = chatfuzz_telemetry::global();
+        if sink.is_enabled() {
+            let stem = name.trim_end_matches(".json");
+            let _ = sink.trace_to(&self.root.join(TRACES).join(format!("{stem}.trace.jsonl")));
+            sink.event(
+                "lease_refused",
+                vec![("lease", stem.into()), ("error", error.to_string().into())],
+            );
+            let _ = sink.flush_trace();
+        }
+    }
+
+    /// Runs one claimed order (the lease file `name` holding `text`) to
+    /// completion and publishes the result. Every lease field is decoded
+    /// before anything runs, so a malformed lease leaves no artefact.
+    fn serve_order(&self, name: &str, text: &str) -> Result<(), MalformedField> {
+        let order = decode_flat(text).ok_or_else(|| MalformedField {
+            key: name.to_string(),
+            value: Some(text.to_string()),
+        })?;
+        let get = |key: &str| order.get(key).cloned();
+        let assignment = Assignment::from_lookup(get)?;
+        let campaign: String = parse_field("campaign", get("campaign"))?;
+        let Some((_, build, space)) = self.templates.iter().find(|(name, ..)| *name == campaign)
+        else {
+            return Err(MalformedField { key: "campaign".to_string(), value: Some(campaign) });
         };
-        let stop = StopCondition::Tests(field("stop_tests") as usize);
-        let checkpoint_every = field("ckpt_every") as usize;
-        let checkpoint = PathBuf::from(order.get("ckpt_path").expect("ckpt_path"));
-        let heartbeat = PathBuf::from(order.get("hb_path").expect("hb_path"));
-        let attempt = field("attempt");
+        let stop = StopCondition::Tests(parse_field("stop_tests", get("stop_tests"))?);
+        // Non-zero: a zero checkpoint cadence is rejected by the builder.
+        let checkpoint_every: NonZeroUsize = parse_field("ckpt_every", get("ckpt_every"))?;
+        let checkpoint: PathBuf = parse_field("ckpt_path", get("ckpt_path"))?;
+        let heartbeat: PathBuf = parse_field("hb_path", get("hb_path"))?;
+        let attempt: u32 = parse_field("attempt", get("attempt"))?;
+        let lease = LeaseId {
+            campaign: parse_field("lease_campaign", get("lease_campaign"))?,
+            generation: parse_field("lease_generation", get("lease_generation"))?,
+            index: parse_field("lease_index", get("lease_index"))?,
+        };
         let resume = order.get("resume_path").map(|path| {
             chatfuzz::load_snapshot(Path::new(path), space).expect("spool resume snapshot loads")
         });
         let pid = std::process::id();
-        let lease = LeaseId {
-            campaign: field("lease_campaign") as usize,
-            generation: field("lease_generation"),
-            index: field("lease_index") as usize,
-        };
         // A TelemetrySink handle cannot cross the exec boundary, so the
         // worker falls back to its process-global sink. When one is
         // installed, the lease's timeline lands in an attempt-scoped
@@ -575,7 +596,7 @@ impl SpoolWorker {
         // revoked attempt's late events never mix with its reissue's.
         let sink = chatfuzz_telemetry::global().clone();
         if sink.is_enabled() {
-            let stem = artefact_stem(lease, attempt as u32);
+            let stem = artefact_stem(lease, attempt);
             let trace = self.root.join(TRACES).join(format!("{stem}.trace.jsonl"));
             let _ = sink.trace_to(&trace);
             sink.event(
@@ -590,7 +611,7 @@ impl SpoolWorker {
         let mut seq: u64 = 0;
         let mut builder = (build)(assignment.spec)
             .telemetry(sink.clone())
-            .auto_checkpoint(checkpoint, checkpoint_every)
+            .auto_checkpoint(checkpoint, checkpoint_every.get())
             .observer(move |outcome: &BatchOutcome| {
                 seq += 1;
                 if chatfuzz::faults::active().is_some_and(|plan| plan.drop_heartbeat()) {
@@ -614,6 +635,7 @@ impl SpoolWorker {
         // Drain this lease's timeline before the claim loop moves on —
         // the next order may retarget the trace to a different stem.
         let _ = sink.flush_trace();
+        Ok(())
     }
 }
 
@@ -654,11 +676,90 @@ mod tests {
             )
             .expect("seed inbox");
         }
-        let first = worker.claim_next().expect("first claim");
-        assert_eq!(first.get("campaign").map(String::as_str), Some("c0-g0-l0-a0"));
-        let second = worker.claim_next().expect("second claim");
-        assert_eq!(second.get("campaign").map(String::as_str), Some("c0-g0-l1-a0"));
+        let (first, _) = worker.claim_next().expect("first claim");
+        assert_eq!(first, "c0-g0-l0-a0.json");
+        let (second, text) = worker.claim_next().expect("second claim");
+        assert_eq!(second, "c0-g0-l1-a0.json");
+        assert_eq!(decode_flat(&text).expect("claimed text decodes")["campaign"], "c0-g0-l1-a0");
         assert!(worker.claim_next().is_none(), "both orders are claimed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_leases_are_refused_with_the_offending_field() {
+        use chatfuzz::campaign::CampaignBuilder;
+        use chatfuzz::shard::ShardSpec;
+        use chatfuzz_baselines::RandomRegression;
+        use chatfuzz_rtl::{Dut, Rocket, RocketConfig};
+
+        let dir = std::env::temp_dir().join(format!("chatfuzz-spool-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let space = Rocket::new(RocketConfig::default()).space().clone();
+        let build: LeaseBuilder = Arc::new(|spec: ShardSpec| {
+            CampaignBuilder::new(|| Box::new(Rocket::new(RocketConfig::default())) as Box<dyn Dut>)
+                .batch_size(8)
+                .generator(RandomRegression::new(spec.seed, 16))
+        });
+        // A well-formed lease, written by the real encoder.
+        let mut transport = SpoolTransport::new(&dir).expect("spool dirs");
+        let lease = LeaseId { campaign: 0, generation: 0, index: 0 };
+        transport
+            .dispatch(WorkOrder {
+                lease,
+                attempt: 0,
+                campaign: "rocket".to_string(),
+                spec: ShardSpec { index: 0, shards: 1, seed: 7 },
+                resume: None,
+                stop: StopCondition::Tests(8),
+                checkpoint_every: 1,
+                build: build.clone(),
+                space: space.clone(),
+                telemetry: chatfuzz_telemetry::TelemetrySink::disabled(),
+            })
+            .expect("dispatch");
+        let name = format!("{}.json", artefact_stem(lease, 0));
+        let text = std::fs::read_to_string(dir.join(INBOX).join(&name)).expect("lease file");
+        let good = decode_flat(&text).expect("lease decodes");
+        let edited = |key: &str, value: Option<&str>| {
+            let mut map = good.clone();
+            match value {
+                Some(value) => map.insert(key.to_string(), value.to_string()),
+                None => map.remove(key),
+            };
+            encode_flat(map.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        };
+        let worker = SpoolWorker::new(&dir).register("rocket", space, build);
+        let refused = |text: &str| worker.serve_order(&name, text).expect_err("lease is refused");
+
+        let truncated = &text[..text.len() / 2];
+        assert_eq!(
+            refused(truncated),
+            MalformedField { key: name.clone(), value: Some(truncated.to_string()) }
+        );
+        assert_eq!(
+            refused(&edited("stop_tests", None)),
+            MalformedField { key: "stop_tests".to_string(), value: None }
+        );
+        for cadence in ["often", "0"] {
+            assert_eq!(
+                refused(&edited("ckpt_every", Some(cadence))),
+                MalformedField { key: "ckpt_every".to_string(), value: Some(cadence.to_string()) }
+            );
+        }
+        assert_eq!(
+            refused(&edited(chatfuzz::shard::proto::KEY_SHARD_SEED, Some("-1"))).key,
+            chatfuzz::shard::proto::KEY_SHARD_SEED
+        );
+        assert_eq!(
+            refused(&edited("campaign", Some("boom"))),
+            MalformedField { key: "campaign".to_string(), value: Some("boom".to_string()) }
+        );
+        // Nothing ran: no heartbeat, checkpoint, or result was written.
+        for sub in [HEARTBEATS, CHECKPOINTS, OUTBOX] {
+            let written = std::fs::read_dir(dir.join(sub)).expect("spool dir").count();
+            assert_eq!(written, 0, "a refused lease wrote into {sub}/");
+        }
+        drop(transport); // writes the stop marker, so before the cleanup
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,12 @@
 //! Integration: the campaign orchestrator — fault injection (a spool
 //! worker SIGKILLed mid-lease is revoked, reassigned, and costs the
-//! fleet nothing observable), and the determinism law (a 1-worker fleet
-//! with merge cadence = ∞ is canonically identical to a plain campaign).
+//! fleet nothing observable), the determinism law (a 1-worker fleet
+//! with merge cadence = ∞ is canonically identical to a plain campaign),
+//! and the sharding laws of one-shot fleets (one generation whose leases
+//! cover the whole budget): the merged map is the union of the lease
+//! maps, coverage is monotone in the fan-out, corpora pool as a
+//! fingerprint-deduped union that resumes, and spawned spool workers
+//! merge to exactly what the in-process pool merges to.
 
 use std::collections::HashMap;
 use std::process::Command;
@@ -12,7 +17,8 @@ use chatfuzz::campaign::{CampaignBuilder, CampaignSnapshot, StopCondition};
 use chatfuzz::persist::Recovery;
 use chatfuzz::report;
 use chatfuzz::shard::{shard_seed, ShardSpec};
-use chatfuzz_coverage::Space;
+use chatfuzz_baselines::RandomRegression;
+use chatfuzz_coverage::{CovMap, Space};
 use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
 use chatfuzz_orchestrate::{
     FleetConfig, LeaseBuilder, LeaseId, LocalPoolTransport, OrchestrateError, Orchestrator,
@@ -21,6 +27,7 @@ use chatfuzz_orchestrate::{
 use chatfuzz_tests::rocket_factory;
 
 const CAMPAIGN: &str = "rocket-evolve";
+const RANDOM: &str = "rocket-random";
 const BATCH: usize = 8;
 
 /// The canonical lease template for this file: a single *stateful* arm
@@ -37,6 +44,16 @@ fn evolve_template() -> LeaseBuilder {
     })
 }
 
+/// The stateless lease template: a single random-regression arm.
+fn random_template() -> LeaseBuilder {
+    Arc::new(|spec: ShardSpec| {
+        CampaignBuilder::from_factory(rocket_factory())
+            .batch_size(BATCH)
+            .workers(2)
+            .generator(RandomRegression::new(spec.seed, 16))
+    })
+}
+
 fn fleet_config(base_seed: u64, fan_out: usize, lease_tests: usize, total: usize) -> FleetConfig {
     let space = rocket_factory()().space().clone();
     FleetConfig {
@@ -49,15 +66,29 @@ fn fleet_config(base_seed: u64, fan_out: usize, lease_tests: usize, total: usize
     }
 }
 
-/// Worker role for the fault-injection test: a no-op under plain
-/// `cargo test`, a spool worker when spawned with `CHATFUZZ_SPOOL_DIR`.
+/// A one-shot fleet of the random template: `fan_out` leases of
+/// `lease_tests` tests each, merged once.
+fn random_fleet(base_seed: u64, fan_out: usize, lease_tests: usize) -> FleetConfig {
+    FleetConfig {
+        name: RANDOM.to_string(),
+        build: random_template(),
+        ..fleet_config(base_seed, fan_out, lease_tests, fan_out * lease_tests)
+    }
+}
+
+/// Worker role for the cross-process tests: a no-op under plain
+/// `cargo test`, a spool worker serving both templates when spawned
+/// with `CHATFUZZ_SPOOL_DIR`.
 #[test]
 fn role_spool_worker() {
     let Some(worker) = SpoolWorker::from_env() else {
         return;
     };
     let space = rocket_factory()().space().clone();
-    worker.register(CAMPAIGN, space, evolve_template()).serve();
+    worker
+        .register(CAMPAIGN, space.clone(), evolve_template())
+        .register(RANDOM, space, random_template())
+        .serve();
 }
 
 /// Drives a fleet to completion over any transport, invoking `tick` with
@@ -161,42 +192,90 @@ fn sigkilled_spool_worker_is_revoked_reassigned_and_costs_nothing() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// Acceptance smoke: an 8-lease one-shot fleet served by spawned spool
+/// worker processes (this test binary) merges to the same coverage set
+/// — and the same canonical report — as the same fleet on the
+/// in-process pool.
+#[test]
+fn eight_lease_spool_fleet_matches_the_local_pool() {
+    let config = random_fleet(5, 8, 64);
+    let pid = std::process::id();
+
+    let ckpt = std::env::temp_dir().join(format!("chatfuzz-it-orch-eight-ref-{pid}"));
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let mut reference = Orchestrator::new(LocalPoolTransport::new(2, &ckpt));
+    let ref_id = reference.register(config.clone());
+    let local = run_fleet(&mut reference, ref_id, |_| {});
+    assert_eq!(local.tests_run(), 8 * 64);
+
+    let spool = std::env::temp_dir().join(format!("chatfuzz-it-orch-eight-spool-{pid}"));
+    let _ = std::fs::remove_dir_all(&spool);
+    let exe = std::env::current_exe().expect("test binary path");
+    let transport = SpoolTransport::new(&spool).expect("spool directories").spawn_workers(
+        2,
+        exe,
+        ["role_spool_worker", "--exact", "--nocapture"].map(String::from),
+    );
+    let mut orchestrator = Orchestrator::new(transport);
+    let campaign = orchestrator.register(config);
+    let spooled = run_fleet(&mut orchestrator, campaign, |_| {});
+    assert_eq!(orchestrator.status().campaigns[0].generation, 0, "one-shot: one generation");
+
+    let ours = spooled.coverage();
+    let theirs = local.coverage();
+    assert!(ours.is_subset_of(theirs) && theirs.is_subset_of(ours), "coverage sets differ");
+    assert_eq!(
+        report::json_canonical(&spooled.report()),
+        report::json_canonical(&local.report()),
+        "the spool fleet's merge diverged from the in-process pool's"
+    );
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 /// Determinism law: a 1-worker, 1-lease fleet whose merge cadence is ∞
 /// (lease budget = total budget, so exactly one generation and no
 /// mid-flight merge) is canonically identical to the plain campaign with
-/// the same derived seed.
+/// the same derived seed — for the corpus-carrying evolve template and
+/// for the stateless random one.
 #[test]
 fn one_worker_fleet_with_infinite_cadence_is_a_plain_campaign() {
     let base_seed = 11;
     let total = 128;
 
-    let ckpt = std::env::temp_dir().join(format!("chatfuzz-it-orch-one-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ckpt);
-    let mut orchestrator = Orchestrator::new(LocalPoolTransport::new(1, &ckpt));
-    let campaign = orchestrator.register(fleet_config(base_seed, 1, total, total));
-    let orchestrated = run_fleet(&mut orchestrator, campaign, |_| {});
-    assert_eq!(orchestrated.tests_run(), total);
-    let status = orchestrator.status();
-    assert_eq!(status.campaigns[0].generation, 0, "cadence ∞ means a single generation");
-    assert_eq!(status.campaigns[0].revoked_leases, 0);
+    for (name, template) in [(CAMPAIGN, evolve_template()), (RANDOM, random_template())] {
+        let ckpt = std::env::temp_dir()
+            .join(format!("chatfuzz-it-orch-one-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&ckpt);
+        let mut orchestrator = Orchestrator::new(LocalPoolTransport::new(1, &ckpt));
+        let campaign = orchestrator.register(FleetConfig {
+            name: name.to_string(),
+            build: template.clone(),
+            ..fleet_config(base_seed, 1, total, total)
+        });
+        let orchestrated = run_fleet(&mut orchestrator, campaign, |_| {});
+        assert_eq!(orchestrated.tests_run(), total);
+        let status = orchestrator.status();
+        assert_eq!(status.campaigns[0].generation, 0, "cadence ∞ means a single generation");
+        assert_eq!(status.campaigns[0].revoked_leases, 0);
 
-    let mut plain =
-        (evolve_template())(ShardSpec { index: 0, shards: 1, seed: shard_seed(base_seed, 0) })
-            .build();
-    plain.run_until(&[StopCondition::Tests(total)]);
-    let plain_snapshot = plain.snapshot();
+        let mut plain =
+            (template)(ShardSpec { index: 0, shards: 1, seed: shard_seed(base_seed, 0) }).build();
+        plain.run_until(&[StopCondition::Tests(total)]);
+        let plain_snapshot = plain.snapshot();
 
-    assert_eq!(
-        report::json_canonical(&orchestrated.report()),
-        report::json_canonical(&plain_snapshot.report()),
-        "orchestrated single-lease run is the plain campaign"
-    );
-    assert_eq!(
-        orchestrated.generator_states(),
-        plain_snapshot.generator_states(),
-        "generator state carried through the orchestrator bit for bit"
-    );
-    let _ = std::fs::remove_dir_all(&ckpt);
+        assert_eq!(
+            report::json_canonical(&orchestrated.report()),
+            report::json_canonical(&plain_snapshot.report()),
+            "{name}: orchestrated single-lease run is the plain campaign"
+        );
+        assert_eq!(
+            orchestrated.generator_states(),
+            plain_snapshot.generator_states(),
+            "{name}: generator state carried through the orchestrator bit for bit"
+        );
+        let _ = std::fs::remove_dir_all(&ckpt);
+    }
 }
 
 /// A hand-driven transport: the test pushes events and reads dispatches
@@ -269,6 +348,130 @@ fn run_order(order: &WorkOrder) -> CampaignSnapshot {
     let mut campaign = builder.build();
     campaign.run_until(&[order.stop]);
     campaign.snapshot()
+}
+
+/// Drives a one-shot fleet through the orchestrator, running every lease
+/// on this thread as a worker would, and returns the lease snapshots the
+/// orchestrator merged alongside its merged result.
+fn one_shot_fleet(config: FleetConfig) -> (Vec<CampaignSnapshot>, CampaignSnapshot) {
+    let transport = ManualTransport::default();
+    let mut orchestrator = Orchestrator::new(transport.clone());
+    let campaign = orchestrator.register(config);
+    orchestrator.step().expect("dispatch");
+    let leases: Vec<CampaignSnapshot> = transport
+        .take_dispatched()
+        .iter()
+        .map(|order| {
+            let snapshot = run_order(order);
+            transport.push_event(TransportEvent::Completed {
+                lease: order.lease,
+                attempt: order.attempt,
+                snapshot: Box::new(snapshot.clone()),
+            });
+            snapshot
+        })
+        .collect();
+    orchestrator.step().expect("merge");
+    assert!(orchestrator.is_done(), "one generation covers a one-shot budget");
+    assert_eq!(orchestrator.status().campaigns[0].generation, 0);
+    (leases, orchestrator.final_snapshot(campaign).expect("finished campaign").clone())
+}
+
+/// The merged coverage map of a one-shot fleet is exactly the union of
+/// its lease maps.
+#[test]
+fn one_shot_fleet_merges_the_union_of_its_lease_maps() {
+    let (leases, merged) = one_shot_fleet(random_fleet(17, 3, 64));
+    assert_eq!(leases.len(), 3);
+    assert_eq!(merged.tests_run(), 3 * 64);
+    let union = CovMap::union(leases.iter().map(|l| l.coverage())).expect("non-empty");
+    let ours = merged.coverage();
+    assert!(ours.is_subset_of(&union) && union.is_subset_of(ours), "merged map is the union");
+    assert_eq!(ours.covered_bins(), union.covered_bins());
+    for lease in &leases {
+        assert!(lease.coverage().is_subset_of(ours), "every lease map is contained");
+    }
+    // The merged report renders the same union.
+    assert_eq!(merged.report().final_coverage_pct, union.percent());
+}
+
+/// Widening a one-shot fleet never loses coverage: lease seeds do not
+/// depend on the fan-out, so the N-lease union is a subset of the
+/// M-lease union for N ≤ M.
+#[test]
+fn one_shot_fleet_coverage_is_monotone_in_fan_out() {
+    let mut last: Option<CovMap> = None;
+    for fan_out in [1usize, 2, 4] {
+        let (_, merged) = one_shot_fleet(random_fleet(23, fan_out, 64));
+        let map = merged.coverage().clone();
+        if let Some(previous) = &last {
+            assert!(
+                map.covered_bins() >= previous.covered_bins(),
+                "{fan_out} leases covered {} bins, fewer than the smaller fleet's {}",
+                map.covered_bins(),
+                previous.covered_bins()
+            );
+            assert!(
+                previous.is_subset_of(&map),
+                "coverage of {fan_out} leases must contain the smaller fleet's"
+            );
+        }
+        last = Some(map);
+    }
+}
+
+/// Merging corpus-carrying leases (random + evolve arms) unions the
+/// corpora as a fingerprint-deduped set: every lease seed is represented
+/// exactly once, discovery counters stay unique, and the merged snapshot
+/// resumes with the pooled corpus.
+#[test]
+fn one_shot_fleet_pools_lease_corpora_fingerprint_deduped() {
+    let with_evolve = |spec: ShardSpec| {
+        (random_template())(spec)
+            .generator(EvolveGenerator::new(EvolveConfig { seed: spec.seed, ..Default::default() }))
+    };
+    let config = FleetConfig { build: Arc::new(with_evolve), ..random_fleet(29, 3, 128) };
+    let (leases, merged) = one_shot_fleet(config);
+    let corpus_of = |snapshot: &CampaignSnapshot| {
+        let state = snapshot.generator_states()[1].clone().expect("evolve arm exports state");
+        state.corpus.expect("evolve state carries a corpus")
+    };
+    for lease in &leases {
+        assert!(!corpus_of(lease).seeds.is_empty(), "every lease retained seeds");
+    }
+    assert!(merged.generator_states()[0].is_none(), "random arm stays state-free");
+    let pooled = corpus_of(&merged);
+
+    // Union: every lease fingerprint appears in the pool…
+    let pool: std::collections::HashSet<u64> = pooled.seeds.iter().map(|s| s.fingerprint).collect();
+    let mut expected = std::collections::HashSet::new();
+    for lease in &leases {
+        for seed in &corpus_of(lease).seeds {
+            assert!(pool.contains(&seed.fingerprint), "lease seed lost in the merge");
+            expected.insert(seed.fingerprint);
+        }
+    }
+    // …exactly once (dedupe), and nothing else got in.
+    assert_eq!(pool.len(), pooled.seeds.len(), "no duplicate fingerprints");
+    assert_eq!(pool, expected, "pool is exactly the union");
+    // Discovery counters stay unique, so resumed eviction is
+    // deterministic.
+    let mut found: Vec<u64> = pooled.seeds.iter().map(|s| s.found_at).collect();
+    found.sort_unstable();
+    found.dedup();
+    assert_eq!(found.len(), pooled.seeds.len(), "found_at re-stamped uniquely");
+
+    // The merged snapshot resumes with the pooled corpus intact.
+    let tests_so_far = merged.tests_run();
+    let mut resumed =
+        with_evolve(ShardSpec { index: 0, shards: 1, seed: 99 }).resume(merged).build();
+    let report = resumed.run_until(&[StopCondition::Tests(tests_so_far + 2 * BATCH)]);
+    assert_eq!(report.tests_run, tests_so_far + 2 * BATCH);
+    let corpus_after = corpus_of(&resumed.snapshot());
+    assert!(
+        corpus_after.seeds.len() >= pooled.seeds.len().min(256),
+        "resumed corpus keeps the pooled seeds"
+    );
 }
 
 /// Race pin: a worker failure report that arrives *after* the lease (and
