@@ -6,9 +6,8 @@
 //!
 //! * [`CampaignBuilder`] assembles generators, the DUT factory, harness,
 //!   golden model, a [`Scheduler`](chatfuzz_baselines::Scheduler) and any
-//!   [`CampaignObserver`]s, then [`CampaignBuilder::build`] spawns the
-//!   worker pool (the paper's "ten instances of VCS") once for the whole
-//!   session;
+//!   [`CampaignObserver`]s, then [`CampaignBuilder::build`] sets up the
+//!   execution lanes once for the whole session;
 //! * [`Campaign::step_batch`] advances the loop one batch at a time and
 //!   returns the [`BatchOutcome`];
 //! * [`Campaign::run_until`] drives batches until any [`StopCondition`]
@@ -20,11 +19,25 @@
 //!   (round-robin, or the MABFuzz-style epsilon-greedy bandit rewarded
 //!   with incremental coverage per test).
 //!
+//! # Execution lanes
+//!
+//! `workers(n)` runs each batch on `n` lanes. A lane owns a DUT, a golden
+//! model and its own buffers. The stepping thread drives lane 0 on the
+//! DUT `build` probed; helper threads drive the rest, each sent one
+//! message per batch. Lanes claim tests from a shared cursor, then build
+//! the image, run DUT and golden, diff and hash, and return compact
+//! results. The caller sorts them by index and does only the ordered
+//! work (mismatch log, scoring, history, scheduler, observers), so
+//! results never depend on `n`, and `workers(1)` starts no thread.
+//!
 //! Snapshots capture scheduler state ([`SchedulerState`]) alongside
 //! coverage and mismatch state, persist to disk via [`crate::persist`],
 //! and scale horizontally via [`crate::shard`].
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,15 +45,14 @@ use std::time::{Duration, Instant};
 use chatfuzz_baselines::{
     Feedback, GeneratorState, InputGenerator, RoundRobin, Scheduler, SchedulerState,
 };
-use chatfuzz_coverage::{Calculator, CovMap, PointKind, Space};
+use chatfuzz_coverage::{Calculator, CovMap, PointKind};
 use chatfuzz_rtl::{Dut, DutRun};
 use chatfuzz_softcore::trace::Trace;
 use chatfuzz_softcore::{SoftCoreConfig, SoftCoreRunner};
 use chatfuzz_telemetry::TelemetrySink;
-use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::harness::{HarnessConfig, PrecompiledHarness};
-use crate::mismatch::{diff_traces, KnownBug, MismatchLog, UniqueMismatch};
+use crate::mismatch::{diff_traces, KnownBug, Mismatch, MismatchLog, UniqueMismatch};
 
 /// A shared, thread-safe DUT constructor: one DUT is built per worker and
 /// lives for the whole session. All instances must elaborate identical
@@ -54,7 +66,9 @@ pub type DutFactory = Arc<dyn Fn() -> Box<dyn Dut> + Send + Sync>;
 pub struct CampaignConfig {
     /// Inputs per batch (one Coverage-Calculator batch).
     pub batch_size: usize,
-    /// Parallel simulation workers (the paper's "ten instances of VCS").
+    /// Execution lanes, counting the lane the calling thread drives
+    /// (the paper ran ten VCS instances side by side). Defaults to the
+    /// available parallelism; results do not depend on it.
     pub workers: usize,
     /// Harness wrapped around each input.
     pub harness: HarnessConfig,
@@ -68,7 +82,7 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             batch_size: 32,
-            workers: 10,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             harness: HarnessConfig::default(),
             golden: SoftCoreConfig::default(),
             detect_mismatches: true,
@@ -365,35 +379,128 @@ impl CampaignSnapshot {
     }
 }
 
-/// Reusable per-test result buffers. Scratches travel with jobs to the
-/// workers, come back filled inside [`JobResult`], and are recycled into
-/// the next batch — in steady state the whole execute-and-collect loop
-/// allocates nothing per test.
-struct Scratch {
-    run: DutRun,
-    golden: Trace,
+/// One batch as the lanes see it: the generated bodies plus the shared
+/// cursor every lane claims its next test index from.
+struct Batch {
+    bodies: Vec<Vec<u8>>,
+    next: AtomicUsize,
 }
 
-impl Scratch {
-    fn new(space: &Arc<Space>) -> Scratch {
-        Scratch { run: DutRun::scratch(space), golden: Trace::scratch() }
+/// What one lane reports for one test: everything the ordered,
+/// single-threaded part of a batch needs, already diffed and hashed.
+struct TestResult {
+    index: usize,
+    coverage: CovMap,
+    cycles: u64,
+    /// Covered mux-select bins of this test alone.
+    mux: usize,
+    /// `CovMap::content_hash` of this test's coverage.
+    fingerprint: u64,
+    /// Golden-vs-DUT divergences (empty when mismatch detection is off).
+    diffs: Vec<Mismatch>,
+}
+
+/// One execution lane: a DUT, a golden model and the buffers both run
+/// into, all owned by the thread that drives the lane for the whole
+/// session.
+struct Lane {
+    dut: Box<dyn Dut>,
+    harness: Arc<PrecompiledHarness>,
+    /// Golden-model configuration; `None` when mismatch detection is off.
+    golden_cfg: Option<SoftCoreConfig>,
+    /// Built on first use: its RAM arena is the costliest part of a lane.
+    golden: Option<SoftCoreRunner>,
+    run: DutRun,
+    golden_trace: Trace,
+    image: Vec<u8>,
+}
+
+impl Lane {
+    fn new(dut: Box<dyn Dut>, harness: Arc<PrecompiledHarness>, cfg: &CampaignConfig) -> Lane {
+        let run = DutRun::scratch(dut.space());
+        Lane {
+            dut,
+            harness,
+            golden_cfg: cfg.detect_mismatches.then_some(cfg.golden),
+            golden: None,
+            run,
+            golden_trace: Trace::scratch(),
+            image: Vec::new(),
+        }
+    }
+
+    /// Executes tests of `batch` until its cursor runs past the end.
+    fn drain(&mut self, batch: &Batch) -> Vec<TestResult> {
+        let mut out = Vec::new();
+        loop {
+            let index = batch.next.fetch_add(1, Ordering::Relaxed);
+            let Some(body) = batch.bodies.get(index) else { return out };
+            self.harness.build_into(body, &mut self.image);
+            self.dut.run_into(&self.image, &mut self.run);
+            let diffs = match self.golden_cfg {
+                Some(cfg) => {
+                    let golden = self.golden.get_or_insert_with(|| SoftCoreRunner::new(cfg));
+                    golden.run_into(&self.image, &mut self.golden_trace);
+                    diff_traces(&self.golden_trace, &self.run.trace)
+                }
+                None => Vec::new(),
+            };
+            let coverage = &self.run.coverage;
+            out.push(TestResult {
+                index,
+                coverage: coverage.clone(),
+                cycles: self.run.cycles,
+                mux: coverage.covered_bins_of_kind(PointKind::MuxSelect),
+                fingerprint: coverage.content_hash(),
+                diffs,
+            });
+        }
     }
 }
 
-struct Job {
-    index: usize,
-    image: Vec<u8>,
-    scratch: Scratch,
+/// A helper lane's reply for one batch, or the message of the panic that
+/// ended it (tagged with the lane number).
+type LaneReply = Result<Vec<TestResult>, (usize, String)>;
+
+/// A helper thread driving lanes 1.. of the campaign.
+struct Helper {
+    batches: Sender<Arc<Batch>>,
+    thread: JoinHandle<()>,
 }
 
-struct JobResult {
-    index: usize,
-    /// The job's image buffer, returned for recycling.
-    image: Vec<u8>,
-    run: DutRun,
-    /// The golden trace buffer (only meaningful when `ran_golden`).
-    golden: Trace,
-    ran_golden: bool,
+impl Helper {
+    /// Spawns lane `lane`, built inside the new thread so helpers add
+    /// nothing to the caller's set-up time. Every batch gets exactly one
+    /// reply; a panic becomes one final `Err` reply, so the caller never
+    /// waits on a dead lane.
+    fn spawn(
+        lane: usize,
+        factory: DutFactory,
+        harness: Arc<PrecompiledHarness>,
+        cfg: CampaignConfig,
+        replies: Sender<LaneReply>,
+    ) -> Helper {
+        let (batches, inbox) = mpsc::channel::<Arc<Batch>>();
+        let thread = std::thread::spawn(move || {
+            let served = catch_unwind(AssertUnwindSafe(|| {
+                let mut worker = Lane::new(factory(), harness, &cfg);
+                for batch in inbox {
+                    if replies.send(Ok(worker.drain(&batch))).is_err() {
+                        return;
+                    }
+                }
+            }));
+            if let Err(panic) = served {
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let _ = replies.send(Err((lane, message)));
+            }
+        });
+        Helper { batches, thread }
+    }
 }
 
 /// Assembles a [`Campaign`].
@@ -459,7 +566,9 @@ impl<'g> CampaignBuilder<'g> {
         self
     }
 
-    /// Parallel simulation workers.
+    /// Execution lanes, counting the one the calling thread drives:
+    /// `n - 1` helper threads run beside it (the paper's analogue is its
+    /// ten VCS instances). Results do not depend on `n`.
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.workers = n;
         self
@@ -557,8 +666,8 @@ impl<'g> CampaignBuilder<'g> {
         self
     }
 
-    /// Probes the DUT, restores or initialises state, and spawns the
-    /// worker pool.
+    /// Probes the DUT (which becomes the calling thread's lane), restores
+    /// or initialises state, and spawns the helper lanes.
     ///
     /// # Panics
     ///
@@ -571,10 +680,10 @@ impl<'g> CampaignBuilder<'g> {
         assert!(!self.generators.is_empty(), "campaign needs at least one generator");
         assert!(self.cfg.workers > 0 && self.cfg.batch_size > 0, "degenerate campaign config");
 
+        // The probe becomes the caller's own lane.
         let probe = (self.factory)();
         let space = probe.space().clone();
         let dut_name = probe.name().to_string();
-        drop(probe);
 
         let fresh_stats = || {
             self.generators
@@ -671,50 +780,25 @@ impl<'g> CampaignBuilder<'g> {
             ),
         };
 
-        let (job_tx, job_rx) = channel::unbounded::<Job>();
-        let (result_tx, result_rx) = channel::unbounded::<JobResult>();
-        let workers = (0..self.cfg.workers)
-            .map(|_| {
+        let harness = Arc::new(PrecompiledHarness::new(self.cfg.harness));
+        let lane = Lane::new(probe, Arc::clone(&harness), &self.cfg);
+        // The helpers own every reply sender, so a lane that is gone
+        // surfaces as a receive error instead of a deadlock.
+        let (reply_tx, replies) = mpsc::channel();
+        let helpers = (1..self.cfg.workers)
+            .map(|k| {
                 let factory = Arc::clone(&self.factory);
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                let golden_cfg = self.cfg.golden;
-                let detect = self.cfg.detect_mismatches;
-                std::thread::spawn(move || {
-                    let mut dut = factory();
-                    let mut golden = SoftCoreRunner::new(golden_cfg);
-                    while let Ok(Job { index, image, scratch }) = job_rx.recv() {
-                        let Scratch { mut run, golden: mut golden_trace } = scratch;
-                        dut.run_into(&image, &mut run);
-                        if detect {
-                            golden.run_into(&image, &mut golden_trace);
-                        }
-                        let result = JobResult {
-                            index,
-                            image,
-                            run,
-                            golden: golden_trace,
-                            ran_golden: detect,
-                        };
-                        if result_tx.send(result).is_err() {
-                            break;
-                        }
-                    }
-                })
+                Helper::spawn(k, factory, Arc::clone(&harness), self.cfg, reply_tx.clone())
             })
             .collect();
-        // The workers own their clones; dropping ours means a dead pool
-        // surfaces as a recv error instead of a deadlock.
-        drop(result_tx);
-        drop(job_rx);
+        drop(reply_tx);
 
         let covered_last = calculator.total_covered();
 
         Campaign {
-            harness: PrecompiledHarness::new(self.cfg.harness),
-            space,
-            image_pool: Vec::new(),
-            scratch_pool: Vec::new(),
+            lane,
+            helpers,
+            replies,
             seed_pool: Vec::new(),
             seed_revisions: Vec::new(),
             auto_checkpoint: self.auto_checkpoint,
@@ -737,26 +821,21 @@ impl<'g> CampaignBuilder<'g> {
             wall_offset: wall,
             started: Instant::now(),
             stopped_by,
-            job_tx: Some(job_tx),
-            result_rx,
-            workers,
         }
     }
 }
 
-/// A live fuzzing session: owned worker pool, accumulated coverage and
-/// mismatch state, steppable batch by batch. Built by [`CampaignBuilder`];
-/// workers shut down on drop.
+/// A live fuzzing session: owned execution lanes, accumulated coverage
+/// and mismatch state, steppable batch by batch. Built by
+/// [`CampaignBuilder`]; helper lanes shut down on drop.
 pub struct Campaign<'g> {
     cfg: CampaignConfig,
-    /// Prologue/epilogue assembled once for the whole session.
-    harness: PrecompiledHarness,
-    /// The probed coverage space (scratch coverage maps are built over it).
-    space: Arc<Space>,
-    /// Recycled image buffers (filled by `PrecompiledHarness::build_into`).
-    image_pool: Vec<Vec<u8>>,
-    /// Recycled per-test result buffers.
-    scratch_pool: Vec<Scratch>,
+    /// Lane 0, driven by the thread that steps the campaign.
+    lane: Lane,
+    /// Lanes 1..`workers`, one thread each.
+    helpers: Vec<Helper>,
+    /// Every helper's per-batch reply.
+    replies: Receiver<LaneReply>,
     /// Recycled cross-arm seed-exchange buffer.
     seed_pool: Vec<Vec<u32>>,
     /// Per-arm `seeds_revision` values at the last exchange — the change
@@ -786,9 +865,6 @@ pub struct Campaign<'g> {
     wall_offset: Duration,
     started: Instant,
     stopped_by: Option<StopCondition>,
-    job_tx: Option<Sender<Job>>,
-    result_rx: Receiver<JobResult>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl<'g> Campaign<'g> {
@@ -831,7 +907,8 @@ impl<'g> Campaign<'g> {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or the worker pool died.
+    /// Panics if `n == 0`, or if a lane panicked (a helper lane's panic
+    /// is re-raised here, naming the lane).
     pub fn step_batch_of(&mut self, n: usize) -> BatchOutcome {
         assert!(n > 0, "empty batch");
         let batch_span = self.telemetry.now();
@@ -848,50 +925,41 @@ impl<'g> Campaign<'g> {
             );
         }
 
-        let batch = self.generators[arm].next_batch(n);
-        assert_eq!(batch.len(), n, "generator returned a short batch");
-        let job_tx = self.job_tx.as_ref().expect("worker pool alive");
-        for (index, body) in batch.iter().enumerate() {
-            // Recycled buffers: the image is rebuilt from the precompiled
-            // prologue, the scratch is fully overwritten by the worker.
-            let mut image = self.image_pool.pop().unwrap_or_default();
-            self.harness.build_into(body, &mut image);
-            let scratch = self.scratch_pool.pop().unwrap_or_else(|| Scratch::new(&self.space));
-            job_tx.send(Job { index, image, scratch }).expect("workers alive");
+        let bodies = self.generators[arm].next_batch(n);
+        assert_eq!(bodies.len(), n, "generator returned a short batch");
+        // One message per helper with work to share; the caller drains
+        // the same cursor, then restores submission order, so lane
+        // scheduling cannot influence results after this point.
+        let batch = Arc::new(Batch { bodies, next: AtomicUsize::new(0) });
+        let helpers = &self.helpers[..self.helpers.len().min(n - 1)];
+        for (k, helper) in helpers.iter().enumerate() {
+            if helper.batches.send(Arc::clone(&batch)).is_err() {
+                panic!("campaign lane {} is gone", k + 1);
+            }
         }
-
-        // Collect once, then restore submission order; worker scheduling
-        // cannot influence results after this point.
-        let mut results: Vec<JobResult> =
-            (0..n).map(|_| self.result_rx.recv().expect("workers alive")).collect();
+        let mut results = self.lane.drain(&batch);
+        for _ in helpers {
+            match self.replies.recv() {
+                Ok(Ok(lane_results)) => results.extend(lane_results),
+                Ok(Err((lane, message))) => panic!("campaign lane {lane} panicked: {message}"),
+                Err(_) => panic!("every helper lane is gone"),
+            }
+        }
         results.sort_unstable_by_key(|r| r.index);
+        let batch = &batch.bodies;
 
         let cycles_before = self.total_cycles;
         let raw_before = self.log.raw_count();
-        let mut mux: Vec<usize> = Vec::with_capacity(n);
         let mut cycles_at: Vec<u64> = Vec::with_capacity(n);
-        let mut fingerprints: Vec<u64> = Vec::with_capacity(n);
         let mut mismatched: Vec<bool> = Vec::with_capacity(n);
-        for JobResult { run, golden, ran_golden, .. } in &results {
-            self.total_cycles += run.cycles;
+        for result in &mut results {
+            self.total_cycles += result.cycles;
             cycles_at.push(self.total_cycles);
-            mux.push(run.coverage.covered_bins_of_kind(PointKind::MuxSelect));
-            fingerprints.push(run.coverage.content_hash());
-            if *ran_golden {
-                let diffs = diff_traces(golden, &run.trace);
-                mismatched.push(!diffs.is_empty());
-                self.log.record(diffs);
-            } else {
-                mismatched.push(false);
-            }
+            mismatched.push(!result.diffs.is_empty());
+            self.log.record(std::mem::take(&mut result.diffs));
         }
 
-        let scores = self.calculator.score_batch_iter(results.iter().map(|r| &r.run.coverage));
-        // Everything is scored and diffed: recycle every buffer.
-        for JobResult { image, run, golden, .. } in results {
-            self.image_pool.push(image);
-            self.scratch_pool.push(Scratch { run, golden });
-        }
+        let scores = self.calculator.score_batch_iter(results.iter().map(|r| &r.coverage));
         let feedback: Vec<Feedback> = scores
             .inputs
             .iter()
@@ -899,14 +967,14 @@ impl<'g> Campaign<'g> {
             .map(|(i, s)| Feedback {
                 standalone: s.standalone,
                 incremental: s.incremental,
-                mux_covered: mux[i],
+                mux_covered: results[i].mux,
                 total_after: s.total_after,
                 total_bins: s.total_bins,
-                cov_fingerprint: fingerprints[i],
+                cov_fingerprint: results[i].fingerprint,
                 mismatched: mismatched[i],
             })
             .collect();
-        self.generators[arm].observe(&batch, &feedback);
+        self.generators[arm].observe(batch, &feedback);
 
         // Cross-arm corpus sharing (ROADMAP: the paper's §III-A corpus,
         // self-grown): arms that retain seeds publish them, every arm may
@@ -1198,10 +1266,10 @@ impl<'g> Campaign<'g> {
 
 impl Drop for Campaign<'_> {
     fn drop(&mut self) {
-        // Closing the job channel releases the workers.
-        drop(self.job_tx.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // Closing a helper's batch channel releases its thread.
+        for Helper { batches, thread } in self.helpers.drain(..) {
+            drop(batches);
+            let _ = thread.join();
         }
     }
 }
@@ -1282,6 +1350,66 @@ mod tests {
         let b = run(8);
         assert_eq!(a.final_coverage_pct, b.final_coverage_pct);
         assert_eq!(a.raw_mismatches, b.raw_mismatches);
+    }
+
+    /// A Rocket factory whose instances that `faulty` selects (0 is the
+    /// first built: the caller's lane) crash on their first run.
+    fn faulty_factory(faulty: fn(usize) -> bool) -> DutFactory {
+        struct Crashing(Rocket);
+        impl Dut for Crashing {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn space(&self) -> &Arc<chatfuzz_coverage::Space> {
+                self.0.space()
+            }
+            fn run(&mut self, _: &[u8]) -> DutRun {
+                panic!("simulator crashed")
+            }
+        }
+        let built = Arc::new(AtomicUsize::new(0));
+        Arc::new(move || {
+            let rocket = Rocket::new(RocketConfig::default());
+            if faulty(built.fetch_add(1, Ordering::Relaxed)) {
+                Box::new(Crashing(rocket))
+            } else {
+                Box::new(rocket)
+            }
+        })
+    }
+
+    /// Runs a campaign over `factory` until it panics; returns the panic
+    /// message.
+    fn panic_message_of(factory: DutFactory, workers: usize) -> String {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            CampaignBuilder::from_factory(factory)
+                .batch_size(16)
+                .workers(workers)
+                .generator(RandomRegression::new(5, 16))
+                .build()
+                .run_until(&[StopCondition::Tests(1_000_000)])
+        }));
+        let panic = outcome.expect_err("a crashing DUT must panic the campaign");
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_caller_lane_panics_the_campaign() {
+        let message = panic_message_of(faulty_factory(|instance| instance == 0), 1);
+        assert!(message.contains("simulator crashed"), "got `{message}`");
+    }
+
+    #[test]
+    fn a_panicking_helper_lane_panics_the_campaign_instead_of_hanging() {
+        // Lane 1 stays healthy and keeps the reply channel open, so a
+        // lost reply from lane 2 would block the caller forever.
+        let message = panic_message_of(faulty_factory(|instance| instance == 2), 3);
+        assert!(message.starts_with("campaign lane "), "got `{message}`");
+        assert!(message.contains("simulator crashed"), "got `{message}`");
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! * the [`LmActor`] holds a *frozen, versioned copy* of the policy (the
 //!   published snapshot) and does all sampling from it — test execution
 //!   and rollout scoring still flow through the campaign's ordinary
-//!   worker channels (`image_pool`/`scratch_pool`), there is no side
-//!   loop;
+//!   execution lanes, there is no side loop;
 //! * the [`LmLearner`] consumes completed, reward-stamped rollouts into
 //!   a queue and trains **only at deterministic publish boundaries**
 //!   (every `publish_every` observed batches): it replays up to

@@ -227,8 +227,12 @@ impl Boom {
         let mut shadow_until: u64 = 0;
         let mut deep = DeepState::new();
 
-        for _ in 0..self.cfg.max_steps {
+        // The dead block is simulated every cycle, but its bins are
+        // idempotent "false" hits: marking them once covers the same set.
+        if self.cfg.max_steps > 0 {
             self.ids.tick_dead(cov);
+        }
+        for _ in 0..self.cfg.max_steps {
             arch.csrs.tick_cycle(1);
 
             let fetch_exc = if !pc.is_multiple_of(4) {

@@ -250,8 +250,12 @@ impl Rocket {
         let mut prev_load_rd: Option<Reg> = None;
         let mut deep = DeepState::new();
 
-        for _ in 0..self.cfg.max_steps {
+        // The dead block is simulated every cycle, but its bins are
+        // idempotent "false" hits: marking them once covers the same set.
+        if self.cfg.max_steps > 0 {
             self.ids.tick_dead(cov);
+        }
+        for _ in 0..self.cfg.max_steps {
             arch.csrs.tick_cycle(1);
             cycles += 1;
 

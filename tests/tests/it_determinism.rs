@@ -1,15 +1,30 @@
 //! Integration: end-to-end determinism — identical seeds give identical
 //! campaigns, traces, coverage and mismatch counts across the whole stack.
 
+use chatfuzz::campaign::{CampaignBuilder, StopCondition};
 use chatfuzz::harness::{wrap, HarnessConfig};
-use chatfuzz_baselines::{MutatorConfig, TheHuzz};
+use chatfuzz::persist::snapshot_json;
+use chatfuzz::report::json_canonical;
+use chatfuzz_baselines::{MutatorConfig, RandomRegression, TheHuzz, Ucb1};
 use chatfuzz_corpus::{CorpusConfig, CorpusGenerator};
+use chatfuzz_evolve::{EvolveConfig, EvolveGenerator};
 use chatfuzz_isa::encode_program;
 use chatfuzz_rtl::{Boom, BoomConfig, Dut, Rocket, RocketConfig};
 use chatfuzz_softcore::{SoftCore, SoftCoreConfig};
 use chatfuzz_tests::{rocket_factory, run_budget};
 use proptest::prelude::*;
 
+/// `snapshot_json` minus what two runs of one campaign may differ in:
+/// the leading checksum and every wall-clock reading.
+fn without_wall(json: &str) -> String {
+    let (_checksum, payload) = json.split_once(',').expect("snapshots lead with a checksum");
+    let parts = payload.split("\"wall_nanos\":");
+    parts.map(|part| part.trim_start_matches(|c: char| c.is_ascii_digit())).collect()
+}
+
+/// The worker-count law: a campaign's report and snapshot never depend
+/// on how many lanes ran it — for every batch size, including batches
+/// smaller than the lane count, with the mismatch detector on or off.
 #[test]
 fn campaigns_replay_bit_identically() {
     let run = |workers: usize| {
@@ -25,6 +40,36 @@ fn campaigns_replay_bit_identically() {
         a.history.iter().map(|p| p.covered_bins).collect::<Vec<_>>(),
         b.history.iter().map(|p| p.covered_bins).collect::<Vec<_>>()
     );
+
+    for detect in [true, false] {
+        for batch in [1, 7, 32, 33] {
+            let run = |workers: usize| {
+                let mut campaign = CampaignBuilder::from_factory(rocket_factory())
+                    .batch_size(batch)
+                    .workers(workers)
+                    .detect_mismatches(detect)
+                    .scheduler(Ucb1::new(0.5).cost_normalised())
+                    .generator(RandomRegression::new(11, 16))
+                    .generator(EvolveGenerator::new(EvolveConfig {
+                        seed: 11,
+                        ..Default::default()
+                    }))
+                    .build();
+                let report = campaign.run_until(&[StopCondition::Tests(100)]);
+                (json_canonical(&report), without_wall(&snapshot_json(&campaign.snapshot())))
+            };
+            let reference = run(1);
+            if detect {
+                assert!(reference.0.contains("\"signature\""), "the buggy Rocket mismatches");
+            }
+            for workers in [2, 3, 8] {
+                assert!(
+                    run(workers) == reference,
+                    "workers {workers} diverged from workers 1 (batch {batch}, detect {detect})"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
