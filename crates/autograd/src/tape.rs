@@ -99,7 +99,9 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// The accumulated gradient of a node (after [`Tape::backward`]).
+    /// The accumulated gradient of a leaf — a [`Tape::param`] or
+    /// [`Tape::input`] — after [`Tape::backward`]. Intermediate nodes
+    /// release theirs during the backward pass and report `None`.
     pub fn grad(&self, v: Value) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -389,7 +391,13 @@ impl Tape {
         }
         self.nodes[loss.0].grad = Some(Tensor::new(1, 1, vec![1.0]));
         for i in (0..=loss.0).rev() {
-            let Some(g) = self.nodes[i].grad.clone() else { continue };
+            // Every later node has already pushed its share into node `i`,
+            // so an intermediate's gradient is final here and is released
+            // as it is consumed; leaves keep theirs for `grad` readback.
+            if matches!(self.nodes[i].op, Op::Leaf) {
+                continue;
+            }
+            let Some(g) = self.nodes[i].grad.take() else { continue };
             let op = self.nodes[i].op.clone();
             match op {
                 Op::Leaf => {}

@@ -213,6 +213,15 @@ pub trait InputGenerator: Send {
         None
     }
 
+    /// Language-model tokens this generator has sampled since it was
+    /// built (prompts excluded), for the campaign's
+    /// `chatfuzz_campaign_lm_tokens_total` counter, which adds the
+    /// per-batch difference. `0` for generators that sample no tokens —
+    /// the default.
+    fn tokens_generated(&self) -> u64 {
+        0
+    }
+
     /// A counter that changes whenever this generator's shareable seed
     /// set changes ([`InputGenerator::contribute_seeds`] would return
     /// something different). The campaign skips the whole cross-arm
@@ -266,6 +275,10 @@ impl<G: InputGenerator + ?Sized> InputGenerator for &mut G {
         (**self).weight_epoch()
     }
 
+    fn tokens_generated(&self) -> u64 {
+        (**self).tokens_generated()
+    }
+
     fn seeds_revision(&self) -> u64 {
         (**self).seeds_revision()
     }
@@ -302,6 +315,10 @@ impl<G: InputGenerator + ?Sized> InputGenerator for Box<G> {
 
     fn weight_epoch(&self) -> Option<u64> {
         (**self).weight_epoch()
+    }
+
+    fn tokens_generated(&self) -> u64 {
+        (**self).tokens_generated()
     }
 
     fn seeds_revision(&self) -> u64 {

@@ -925,7 +925,9 @@ impl<'g> Campaign<'g> {
             );
         }
 
+        let tokens_before = self.generators[arm].tokens_generated();
         let bodies = self.generators[arm].next_batch(n);
+        let lm_tokens = self.generators[arm].tokens_generated() - tokens_before;
         assert_eq!(bodies.len(), n, "generator returned a short batch");
         // One message per helper with work to share; the caller drains
         // the same cursor, then restores submission order, so lane
@@ -1077,10 +1079,8 @@ impl<'g> Campaign<'g> {
             self.telemetry.counter_add(names::CAMPAIGN_CYCLES, outcome.batch_cycles);
             self.telemetry.counter_add(names::CAMPAIGN_MISMATCHES, outcome.new_mismatches as u64);
             self.telemetry.gauge_set(names::CAMPAIGN_COVERAGE_BINS, outcome.covered_bins as i64);
-            // The LM arms sample one 32-bit instruction per token.
-            if outcome.generator.starts_with("chatfuzz") {
-                let tokens: usize = batch.iter().map(|b| b.len() / 4).sum();
-                self.telemetry.counter_add(names::CAMPAIGN_LM_TOKENS, tokens as u64);
+            if lm_tokens > 0 {
+                self.telemetry.counter_add(names::CAMPAIGN_LM_TOKENS, lm_tokens);
             }
             self.telemetry.event(
                 "batch",

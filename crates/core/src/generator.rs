@@ -4,9 +4,10 @@
 //! arm:
 //!
 //! * **fast** — sampling runs through the KV-cached incremental decoder
-//!   ([`chatfuzz_lm::KvCache`], `PpoTrainer::sample_into`), token-pinned
-//!   equal to the naive path but `O(T)` per token, and the actor/learner
-//!   mode below amortises the PPO cost across a whole publish interval;
+//!   ([`chatfuzz_lm::KvCache`], `Gpt::generate_into`), token-pinned equal
+//!   to the naive path but `O(T)` per token, fanned out over every core
+//!   (below), and the actor/learner mode amortises the PPO cost across a
+//!   whole publish interval;
 //! * **durable** — `InputGenerator::export_state` captures the whole
 //!   accumulated state (tokenizer merges, policy weights, Adam moments,
 //!   refreshed prompt pool, pending rollouts, learner queue and publish
@@ -17,6 +18,21 @@
 //!   prompts from the *self-grown* evolve corpus (paper §III-A's corpus,
 //!   discovered rather than pre-built) on top of its static training
 //!   corpus.
+//!
+//! # Per-input sample streams and the fan-out
+//!
+//! `next_batch(n)` draws `n` words from the arm's ChaCha stream, one per
+//! input in input order, and input `i` makes its prompt choices and
+//! samples its tokens from a `ChaCha8Rng` seeded with word `i`. An input
+//! therefore depends only on its word and the policy, so the inputs split
+//! into contiguous chunks over `min(available_parallelism, n)` scoped
+//! threads — the calling (campaign) thread takes the first chunk, each
+//! thread samples with its own [`chatfuzz_lm::KvCache`] and buffer owned
+//! by the generator — and come back in input order. Batches, pending
+//! samples and snapshots are the same for any thread count, and the
+//! persisted stream advances by exactly `n` words per batch. Rollout
+//! scoring at a publish and the per-rollout PPO losses fan out the same
+//! way (`chatfuzz_rl::map_in_order`), folded in rollout order.
 //!
 //! # Actor/learner split
 //!
@@ -30,9 +46,9 @@
 //! **learner**:
 //!
 //! * the [`LmActor`] holds a *frozen, versioned copy* of the policy (the
-//!   published snapshot) and does all sampling from it — test execution
-//!   and rollout scoring still flow through the campaign's ordinary
-//!   execution lanes, there is no side loop;
+//!   published snapshot) and all sampling reads it — test execution still
+//!   flows through the campaign's ordinary execution lanes, there is no
+//!   side loop;
 //! * the [`LmLearner`] consumes completed, reward-stamped rollouts into
 //!   a queue and trains **only at deterministic publish boundaries**
 //!   (every `publish_every` observed batches): it replays up to
@@ -49,15 +65,17 @@
 //! and the epoch ride in [`ModelState`] (persist schema v4), so the
 //! SIGKILL-resume bit-identity law holds at any point of the cycle.
 
+use std::borrow::Borrow;
+
 use chatfuzz_autograd::Tensor;
 use chatfuzz_baselines::{
     Feedback, GeneratorState, InputGenerator, ModelSample, ModelState, PendingRollout,
 };
 use chatfuzz_lm::tokenizer::TokenizerKind;
 use chatfuzz_lm::{Gpt, KvCache, NgramLm, Tokenizer};
-use chatfuzz_rl::{PpoConfig, PpoTrainer, Rollout};
+use chatfuzz_rl::{available_lanes, map_in_order, PpoConfig, PpoTrainer, Rollout};
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The coverage-based reward of the model-optimisation step (paper
@@ -185,14 +203,79 @@ pub struct LmGenerator {
     /// batch).
     shared_pool: Vec<Vec<u32>>,
     cfg: LmGeneratorConfig,
+    /// The arm's stream: one word per input seeds that input's sampling.
     rng: ChaCha8Rng,
-    /// Reusable KV arena for incremental sampling.
-    cache: KvCache,
-    /// Recycled sample buffer (`PpoTrainer::sample_into` target).
-    sample_buf: Vec<u32>,
+    /// Per sampling thread: its KV arena and sample buffer, grown to the
+    /// fan-out once and reused by every batch.
+    lanes: Vec<SampleLane>,
     /// Per input: the stitched samples awaiting feedback (the shape
     /// [`ModelState::pending`] serialises verbatim).
     pending: Vec<Vec<ModelSample>>,
+    /// Tokens sampled (prompts excluded) since construction.
+    tokens_generated: u64,
+}
+
+/// One sampling thread's reusable scratch.
+#[derive(Debug)]
+struct SampleLane {
+    cache: KvCache,
+    buf: Vec<u32>,
+}
+
+/// The read-only half of a batch's sampling, shared by every lane: the
+/// policy to sample from (the trainer's in serialized mode, the actor
+/// snapshot otherwise) and the prompt sources.
+struct BatchSampler<'a> {
+    policy: &'a Gpt,
+    ppo: PpoConfig,
+    tokenizer: &'a Tokenizer,
+    base_pool: &'a [Vec<u32>],
+    shared_pool: &'a [Vec<u32>],
+    cfg: &'a LmGeneratorConfig,
+}
+
+impl BatchSampler<'_> {
+    /// Builds a prompt from the first 2–5 instructions of a pool program
+    /// (paper §IV-C.2), framed per the tokenizer's mode. The pool is the
+    /// static corpus plus the cross-arm seeds; with an empty shared half
+    /// the RNG draw sequence is identical to indexing the static pool
+    /// alone.
+    fn prompt(&self, rng: &mut ChaCha8Rng) -> Vec<u32> {
+        let total = self.base_pool.len() + self.shared_pool.len();
+        let index = rng.gen_range(0..total);
+        let program = if index < self.base_pool.len() {
+            &self.base_pool[index]
+        } else {
+            &self.shared_pool[index - self.base_pool.len()]
+        };
+        let take = rng.gen_range(self.cfg.prompt_min..=self.cfg.prompt_max).min(program.len());
+        self.tokenizer.encode_prompt(&program[..take])
+    }
+
+    /// One input from its own stream: `samples_per_input` prompted
+    /// continuations, each capped by [`PpoConfig::budget`], decoded and
+    /// stitched into one instruction image.
+    fn input(&self, seed: u64, lane: &mut SampleLane) -> (Vec<u8>, Vec<ModelSample>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let window = self.policy.config().max_seq;
+        let mut bytes = Vec::new();
+        let mut samples = Vec::with_capacity(self.cfg.samples_per_input);
+        for _ in 0..self.cfg.samples_per_input.max(1) {
+            let prompt = self.prompt(&mut rng);
+            self.policy.generate_into(
+                &prompt,
+                self.ppo.budget(window, prompt.len()),
+                self.ppo.temperature,
+                self.ppo.top_k,
+                &mut rng,
+                &mut lane.cache,
+                &mut lane.buf,
+            );
+            bytes.extend(self.tokenizer.decode_to_bytes(&lane.buf));
+            samples.push(ModelSample { tokens: lane.buf.clone(), prompt_len: prompt.len() });
+        }
+        (bytes, samples)
+    }
 }
 
 impl LmGenerator {
@@ -209,7 +292,6 @@ impl LmGenerator {
         cfg: LmGeneratorConfig,
     ) -> LmGenerator {
         assert!(!prompt_pool.is_empty(), "prompt pool must not be empty");
-        let cache = KvCache::new(*policy.config());
         let actor = LmActor { policy: policy.clone(), epoch: 0 };
         LmGenerator {
             tokenizer,
@@ -223,9 +305,9 @@ impl LmGenerator {
             shared_pool: Vec::new(),
             cfg,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
-            cache,
-            sample_buf: Vec::new(),
+            lanes: Vec::new(),
             pending: Vec::new(),
+            tokens_generated: 0,
         }
     }
 
@@ -273,19 +355,16 @@ impl LmGenerator {
     /// A publish boundary: replay the reward-selected queued rollouts
     /// through one PPO step, drop the rest (they were sampled under the
     /// now-superseded snapshot), publish the new weights to the actor
-    /// and bump the epoch. Runs entirely on the campaign thread at a
-    /// deterministic batch index, so resume bit-identity is preserved.
+    /// and bump the epoch. Runs at a deterministic batch index, and its
+    /// fan-outs return in rollout order, so resume bit-identity is
+    /// preserved.
     fn publish(&mut self) {
         let max_seq = self.learner.trainer.policy().config().max_seq;
         let selected = select_replay(&self.learner.queue, self.cfg.learner_batch, max_seq);
         if !selected.is_empty() {
-            let rollouts: Vec<Rollout> = selected
-                .into_iter()
-                .map(|i| {
-                    let r = &self.learner.queue[i];
-                    self.learner.trainer.score(r.tokens.clone(), r.prompt_len, r.reward)
-                })
-                .collect();
+            let queue = &self.learner.queue;
+            let replay: Vec<&PendingRollout> = selected.into_iter().map(|i| &queue[i]).collect();
+            let rollouts = score_all(&self.learner.trainer, &replay);
             self.learner.trainer.step(&rollouts);
         }
         self.learner.queue.clear();
@@ -294,22 +373,59 @@ impl LmGenerator {
         self.sync_actor();
     }
 
-    /// Builds a prompt from the first 2–5 instructions of a pool program
-    /// (paper §IV-C.2), framed per the tokenizer's mode. The pool is the
-    /// static corpus plus the cross-arm seeds; with an empty shared half
-    /// the RNG draw sequence is identical to indexing the static pool
-    /// alone.
-    fn make_prompt(&mut self) -> Vec<u32> {
-        let total = self.base_pool.len() + self.shared_pool.len();
-        let index = self.rng.gen_range(0..total);
-        let program = if index < self.base_pool.len() {
-            &self.base_pool[index]
-        } else {
-            &self.shared_pool[index - self.base_pool.len()]
+    /// [`InputGenerator::next_batch`] with sampling fanned out over
+    /// `threads` lanes. The arm's stream yields one word per input, in
+    /// input order; input `i` draws its prompts and tokens from a
+    /// `ChaCha8Rng` seeded with word `i`, so the batch, the pending
+    /// samples and the arm's stream position depend on the seed alone,
+    /// never on `threads`.
+    fn next_batch_on(&mut self, n: usize, threads: usize) -> Vec<Vec<u8>> {
+        let seeds: Vec<u64> = (0..n).map(|_| self.rng.next_u64()).collect();
+        let lanes = threads.clamp(1, n.max(1));
+        let shape = *self.actor.policy.config();
+        if self.lanes.len() < lanes {
+            self.lanes
+                .resize_with(lanes, || SampleLane { cache: KvCache::new(shape), buf: Vec::new() });
+        }
+        // The serialized path samples from the live trainer policy, the
+        // actor path from the frozen published snapshot (bit-identical
+        // between publishes).
+        let sampler = BatchSampler {
+            policy: if self.cfg.publish_every >= 1 {
+                &self.actor.policy
+            } else {
+                self.learner.trainer.policy()
+            },
+            ppo: *self.learner.trainer.config(),
+            tokenizer: &self.tokenizer,
+            base_pool: &self.base_pool,
+            shared_pool: &self.shared_pool,
+            cfg: &self.cfg,
         };
-        let take = self.rng.gen_range(self.cfg.prompt_min..=self.cfg.prompt_max).min(program.len());
-        self.tokenizer.encode_prompt(&program[..take])
+        let sampled =
+            map_in_order(&seeds, &mut self.lanes[..lanes], |lane, &seed| sampler.input(seed, lane));
+        self.pending.clear();
+        let mut batch = Vec::with_capacity(n);
+        for (bytes, samples) in sampled {
+            self.tokens_generated +=
+                samples.iter().map(|s| (s.tokens.len() - s.prompt_len) as u64).sum::<u64>();
+            self.pending.push(samples);
+            batch.push(bytes);
+        }
+        batch
     }
+}
+
+/// Scores rollouts against the trainer's policy and reference on one
+/// thread per available core, returned in rollout order.
+fn score_all<R: Borrow<PendingRollout> + Sync>(
+    trainer: &PpoTrainer,
+    rewarded: &[R],
+) -> Vec<Rollout> {
+    map_in_order(rewarded, &mut vec![(); available_lanes()], |_, r| {
+        let r = r.borrow();
+        trainer.score(r.tokens.clone(), r.prompt_len, r.reward)
+    })
 }
 
 /// Reward-weighted replay selection: indices of the queued rollouts the
@@ -345,51 +461,7 @@ impl InputGenerator for LmGenerator {
     }
 
     fn next_batch(&mut self, n: usize) -> Vec<Vec<u8>> {
-        self.pending.clear();
-        let actor_mode = self.cfg.publish_every >= 1;
-        // Both samplers apply the same window clamp; the serialized path
-        // samples from the live trainer policy, the actor path from the
-        // frozen published snapshot (bit-identical between publishes).
-        let ppo = *self.learner.trainer.config();
-        (0..n)
-            .map(|_| {
-                let mut bytes = Vec::new();
-                let mut samples = Vec::with_capacity(self.cfg.samples_per_input);
-                for _ in 0..self.cfg.samples_per_input.max(1) {
-                    let prompt = self.make_prompt();
-                    let prompt_len = prompt.len();
-                    if actor_mode {
-                        let window = self.actor.policy.config().max_seq;
-                        let budget = window.saturating_sub(prompt.len()).min(ppo.max_new_tokens);
-                        if budget == 0 {
-                            self.sample_buf.clear();
-                            self.sample_buf.extend_from_slice(&prompt);
-                        } else {
-                            self.actor.policy.generate_into(
-                                &prompt,
-                                budget,
-                                ppo.temperature,
-                                ppo.top_k,
-                                &mut self.rng,
-                                &mut self.cache,
-                                &mut self.sample_buf,
-                            );
-                        }
-                    } else {
-                        self.learner.trainer.sample_into(
-                            &prompt,
-                            &mut self.rng,
-                            &mut self.cache,
-                            &mut self.sample_buf,
-                        );
-                    }
-                    bytes.extend(self.tokenizer.decode_to_bytes(&self.sample_buf));
-                    samples.push(ModelSample { tokens: self.sample_buf.clone(), prompt_len });
-                }
-                self.pending.push(samples);
-                bytes
-            })
-            .collect()
+        self.next_batch_on(n, available_lanes())
     }
 
     fn observe(&mut self, _batch: &[Vec<u8>], feedback: &[Feedback]) {
@@ -397,38 +469,33 @@ impl InputGenerator for LmGenerator {
             self.pending.clear();
             return;
         }
+        // All samples stitched into an input share its reward (coarse
+        // but unbiased credit assignment); a sample that generated
+        // nothing has nothing to reinforce.
+        let (reward, total_bins) = (self.cfg.reward, self.cfg.total_bins);
+        let rewarded = self.pending.drain(..).zip(feedback).flat_map(|(samples, fb)| {
+            let reward = reward.reward(fb, total_bins);
+            samples.into_iter().filter(|s| s.tokens.len() > s.prompt_len).map(
+                move |ModelSample { tokens, prompt_len }| PendingRollout {
+                    tokens,
+                    prompt_len,
+                    reward,
+                },
+            )
+        });
         if self.cfg.publish_every == 0 {
             // Serialized in-line trainer (the equality baseline): score
             // the batch and run a PPO step right here, every batch.
-            let mut rollouts = Vec::new();
-            for (samples, fb) in self.pending.drain(..).zip(feedback) {
-                // All samples stitched into the input share its reward
-                // (coarse but unbiased credit assignment).
-                let reward = self.cfg.reward.reward(fb, self.cfg.total_bins);
-                for ModelSample { tokens, prompt_len } in samples {
-                    if tokens.len() <= prompt_len {
-                        continue; // nothing was generated; nothing to reinforce
-                    }
-                    rollouts.push(self.learner.trainer.score(tokens, prompt_len, reward));
-                }
-            }
-            if !rollouts.is_empty() {
+            let rewarded: Vec<PendingRollout> = rewarded.collect();
+            if !rewarded.is_empty() {
+                let rollouts = score_all(&self.learner.trainer, &rewarded);
                 self.learner.trainer.step(&rollouts);
             }
             return;
         }
-        // Actor/learner: the scored feedback arrives here off the same
-        // worker channels every arm uses; the learner just queues the
-        // reward-stamped rollouts and defers training to the boundary.
-        for (samples, fb) in self.pending.drain(..).zip(feedback) {
-            let reward = self.cfg.reward.reward(fb, self.cfg.total_bins);
-            for ModelSample { tokens, prompt_len } in samples {
-                if tokens.len() <= prompt_len {
-                    continue;
-                }
-                self.learner.queue.push(PendingRollout { tokens, prompt_len, reward });
-            }
-        }
+        // Actor/learner: the learner just queues the reward-stamped
+        // rollouts and defers training to the boundary.
+        self.learner.queue.extend(rewarded);
         self.learner.batches_since_publish += 1;
         if self.learner.batches_since_publish >= self.cfg.publish_every as u64 {
             self.publish();
@@ -526,6 +593,10 @@ impl InputGenerator for LmGenerator {
 
     fn weight_epoch(&self) -> Option<u64> {
         Some(self.actor.epoch)
+    }
+
+    fn tokens_generated(&self) -> u64 {
+        self.tokens_generated
     }
 
     fn absorb_seeds(&mut self, seeds: &[Vec<u32>]) {
@@ -894,6 +965,120 @@ mod tests {
         // Refresh is wholesale: a smaller next exchange shrinks it again.
         with_seeds.absorb_seeds(&[vec![0x0010_0093; 2]]);
         assert_eq!(with_seeds.shared_prompt_count(), 1);
+    }
+
+    /// Everything a run of `rounds` batches exposes: the batches, the
+    /// pending samples after each, and the final exported state.
+    type Run = (Vec<Vec<Vec<u8>>>, Vec<Vec<Vec<ModelSample>>>, Option<GeneratorState>);
+
+    fn run_with_fan_out(generator: &mut LmGenerator, threads: usize) -> Run {
+        let (mut batches, mut pending) = (Vec::new(), Vec::new());
+        for round in 0..4usize {
+            if round == 2 {
+                generator.absorb_seeds(&[vec![0x0010_0093, 0x0000_0533, 0x0020_0113]]);
+            }
+            let batch = generator.next_batch_on(5 + round, threads);
+            pending.push(generator.pending.clone());
+            let feedback: Vec<Feedback> = (0..batch.len())
+                .map(|i| Feedback {
+                    standalone: 5 + i,
+                    incremental: (i + round) % 3,
+                    ..Default::default()
+                })
+                .collect();
+            generator.observe(&batch, &feedback);
+            batches.push(batch);
+        }
+        (batches, pending, generator.export_state())
+    }
+
+    /// The thread-count law: per-input streams make batches, pending
+    /// samples and the exported state (RNG position, weights, learner
+    /// queue) independent of the sampling fan-out, in both modes.
+    #[test]
+    fn sampling_is_identical_for_any_fan_out() {
+        let (tok, model, pool) = setup();
+        let ppo = PpoConfig { max_new_tokens: 10, lr: 1e-3, ..Default::default() };
+        for (publish_every, learner_batch) in [(0, 0), (2, 3)] {
+            let cfg = LmGeneratorConfig {
+                total_bins: 100,
+                samples_per_input: 2,
+                publish_every,
+                learner_batch,
+                ..Default::default()
+            };
+            let build = || LmGenerator::new(tok.clone(), model.clone(), ppo, pool.clone(), cfg);
+            let reference = run_with_fan_out(&mut build(), 1);
+            assert!(reference.0.iter().flatten().any(|input| !input.is_empty()));
+            for threads in [2, 3, 8] {
+                let run = run_with_fan_out(&mut build(), threads);
+                assert!(
+                    run == reference,
+                    "publish_every={publish_every}: fan-out {threads} diverged from 1"
+                );
+            }
+        }
+    }
+
+    /// The arm's stream advances one word per input, whatever the batch
+    /// does with it — the snapshot's RNG position stays a function of
+    /// the input count.
+    #[test]
+    fn stream_advances_one_word_per_input() {
+        let (tok, model, pool) = setup();
+        let ppo = PpoConfig { max_new_tokens: 6, ..Default::default() };
+        let mut generator = LmGenerator::new(tok, model, ppo, pool, LmGeneratorConfig::default());
+        let mut expected = ChaCha8Rng::seed_from_u64(LmGeneratorConfig::default().seed);
+        for n in [3, 1, 6] {
+            generator.next_batch_on(n, 2);
+            for _ in 0..n {
+                expected.next_u64();
+            }
+            assert_eq!(generator.rng.export_words(), expected.export_words());
+        }
+    }
+
+    /// `chatfuzz_campaign_lm_tokens_total` counts the tokens the arm
+    /// sampled (prompts excluded), not the instruction words they decode
+    /// to.
+    #[test]
+    fn campaign_lm_token_counter_equals_tokens_sampled() {
+        use crate::campaign::CampaignBuilder;
+        use chatfuzz_rtl::{Dut, Rocket, RocketConfig};
+        use chatfuzz_telemetry::{names, TelemetrySink};
+        use std::sync::Arc;
+
+        let (tok, model, pool) = setup();
+        let ppo = PpoConfig { max_new_tokens: 12, ..Default::default() };
+        // Frozen weights, so a twin replays the campaign's batches.
+        let cfg = LmGeneratorConfig { online_training: false, ..Default::default() };
+        let mut armed = LmGenerator::new(tok.clone(), model.clone(), ppo, pool.clone(), cfg);
+        let mut twin = LmGenerator::new(tok, model, ppo, pool, cfg);
+        let sink = TelemetrySink::enabled();
+        let factory = Arc::new(|| Box::new(Rocket::new(RocketConfig::default())) as Box<dyn Dut>);
+        let mut campaign = CampaignBuilder::from_factory(factory)
+            .batch_size(4)
+            .workers(1)
+            .generator(&mut armed)
+            .telemetry(sink.clone())
+            .build();
+        let (mut sampled, mut words) = (0u64, 0u64);
+        for _ in 0..3 {
+            campaign.step_batch();
+            let batch = twin.next_batch(4);
+            words += batch.iter().map(|b| b.len() as u64 / 4).sum::<u64>();
+            sampled += twin
+                .pending
+                .iter()
+                .flatten()
+                .map(|s| (s.tokens.len() - s.prompt_len) as u64)
+                .sum::<u64>();
+        }
+        drop(campaign);
+        assert!(sampled > 0);
+        assert_ne!(sampled, words, "fixture must tell tokens from words");
+        assert_eq!(sink.counter_value(names::CAMPAIGN_LM_TOKENS), sampled);
+        assert_eq!(armed.tokens_generated(), sampled);
     }
 
     #[test]

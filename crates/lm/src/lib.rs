@@ -24,10 +24,10 @@
 //!
 //! Inside a campaign the [`Gpt`] plays two roles at once. The **actor**
 //! is a frozen clone of the weights, stamped with a monotonically
-//! increasing *publish epoch*; every batch is sampled from it on the
-//! worker pool, so sampling never observes a half-trained model. The
-//! **learner** (a `chatfuzz_rl::PpoTrainer` owned by the campaign's LM
-//! generator) queues scored rollouts and trains only at deterministic
+//! increasing *publish epoch*; every batch is sampled from it, so
+//! sampling never observes a half-trained model. The **learner** (a
+//! `chatfuzz_rl::PpoTrainer` owned by the campaign's LM generator)
+//! queues scored rollouts and trains only at deterministic
 //! publish boundaries — every `publish_every` observed batches — then
 //! copies its weights over the actor and bumps the epoch. Between
 //! boundaries actor and learner weights are bit-identical, which is why

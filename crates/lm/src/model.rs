@@ -294,6 +294,7 @@ impl Gpt {
         if tokens.is_empty() {
             tokens.push(crate::tokenizer::BOS);
         }
+        let mut ranked = Vec::new();
         for _ in 0..max_new {
             let start = tokens.len().saturating_sub(self.cfg.max_seq);
             let window = &tokens[start..];
@@ -301,7 +302,7 @@ impl Gpt {
             let fwd = self.forward(&mut tape, window);
             let logits = tape.value(fwd.logits);
             let last = logits.row(logits.rows() - 1);
-            let next = sample_row(last, temperature, top_k, rng);
+            let next = sample_row_with(last, temperature, top_k, rng, &mut ranked);
             tokens.push(next);
             if next == EOS {
                 break;
@@ -353,14 +354,15 @@ impl Gpt {
                 cache.reset();
                 window_start = start;
             }
-            // Feed every not-yet-cached row of the current window; the
-            // last row's logits drive the sample. On the first iteration
-            // this is the whole prompt (prefill), afterwards just the
-            // freshly appended token.
+            // Feed every not-yet-cached row of the current window; only
+            // the last row's logits drive the sample, so only it projects
+            // them. On the first iteration this is the whole prompt
+            // (prefill), afterwards just the freshly appended token.
             for &token in &out[window_start + cache.len..] {
-                self.decode_step(cache, token);
+                self.push_row(cache, token);
             }
-            let next = sample_row(&cache.logits, temperature, top_k, rng);
+            self.project_logits(cache);
+            let next = sample_row_with(&cache.logits, temperature, top_k, rng, &mut cache.ranked);
             out.push(next);
             if next == EOS {
                 break;
@@ -400,6 +402,14 @@ impl Gpt {
     /// Panics if the cache is full (`max_seq` rows) or `token` is out of
     /// vocabulary.
     pub fn decode_step(&self, cache: &mut KvCache, token: u32) {
+        self.push_row(cache, token);
+        self.project_logits(cache);
+    }
+
+    /// Appends one token's row to the cache (keys, values and the
+    /// residual stream in `cache.x`) without projecting logits — the
+    /// prefill rows before the last need nothing else.
+    fn push_row(&self, cache: &mut KvCache, token: u32) {
         assert_eq!(cache.cfg, self.cfg, "KV cache was allocated for a different model shape");
         assert!(cache.len < self.cfg.max_seq, "KV cache is full (window must slide)");
         assert!((token as usize) < self.cfg.vocab, "token {token} out of vocab");
@@ -441,11 +451,12 @@ impl Gpt {
                 }
                 let max = cache.att[..=pos].iter().cloned().fold(f32::MIN, f32::max);
                 let mut denom = 0.0;
-                for j in 0..=pos {
-                    denom += (cache.att[j] - max).exp();
+                for a in &mut cache.att[..=pos] {
+                    *a = (*a - max).exp();
+                    denom += *a;
                 }
-                for j in 0..=pos {
-                    cache.att[j] = (cache.att[j] - max).exp() / denom;
+                for a in &mut cache.att[..=pos] {
+                    *a /= denom;
                 }
                 // ctx_head = att · V (k ascending, skip-on-zero like the
                 // tape's matmul).
@@ -478,9 +489,13 @@ impl Gpt {
                 *x += a + bias;
             }
         }
+        cache.len += 1;
+    }
 
-        // Final norm + weight-tied logits (matmul_nt row: plain ascending
-        // dot against every embedding row).
+    /// Final norm + weight-tied logits of the last pushed row into
+    /// `cache.logits` (matmul_nt row: plain ascending dot against every
+    /// embedding row).
+    fn project_logits(&self, cache: &mut KvCache) {
         layer_norm_row(&cache.x, &self.lnf_g, &self.lnf_b, &mut cache.h);
         for (j, l) in cache.logits.iter_mut().enumerate() {
             let wrow = self.wte.row(j);
@@ -490,7 +505,6 @@ impl Gpt {
             }
             *l = acc;
         }
-        cache.len += 1;
     }
 }
 
@@ -516,6 +530,8 @@ pub struct KvCache {
     att: Vec<f32>,
     /// Next-token logits of the last [`Gpt::decode_step`].
     logits: Vec<f32>,
+    /// Sampler scratch: `(token, scaled logit)` pairs, ranked in place.
+    ranked: Vec<(u32, f32)>,
 }
 
 impl KvCache {
@@ -533,6 +549,7 @@ impl KvCache {
             ff: vec![0.0; cfg.d_ff],
             att: vec![0.0; cfg.max_seq],
             logits: vec![0.0; cfg.vocab],
+            ranked: Vec::with_capacity(cfg.vocab),
         }
     }
 
@@ -594,29 +611,65 @@ fn layer_norm_row(row: &[f32], gain: &Tensor, bias: &Tensor, out: &mut Vec<f32>)
 }
 
 /// Temperature + top-k sampling from a logit row.
+///
+/// Convenience form of the one sampler both decoders use; it allocates
+/// its ranking scratch per call.
 pub fn sample_row<R: Rng>(logits: &[f32], temperature: f32, top_k: usize, rng: &mut R) -> u32 {
+    sample_row_with(logits, temperature, top_k, rng, &mut Vec::new())
+}
+
+/// [`sample_row`] over a caller-owned ranking buffer.
+///
+/// The shortlist is the `k` highest scaled logits ordered by value
+/// descending, ties by token ascending — exactly the prefix a stable
+/// descending sort yields — found with a partial selection, so only the
+/// `k` survivors are sorted. A NaN logit ranks as `-inf` (zero weight):
+/// NaN has no place in that order, and a comparison sort over it may
+/// panic.
+fn sample_row_with<R: Rng>(
+    logits: &[f32],
+    temperature: f32,
+    top_k: usize,
+    rng: &mut R,
+    ranked: &mut Vec<(u32, f32)>,
+) -> u32 {
     let temp = temperature.max(1e-4);
-    let mut indexed: Vec<(usize, f32)> =
-        logits.iter().enumerate().map(|(i, &l)| (i, l / temp)).collect();
-    indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let k = top_k.clamp(1, indexed.len());
-    let shortlist = &indexed[..k];
+    ranked.clear();
+    ranked.extend(
+        logits
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (i as u32, if l.is_nan() { f32::NEG_INFINITY } else { l / temp })),
+    );
+    let k = top_k.clamp(1, ranked.len());
+    let order = |a: &(u32, f32), b: &(u32, f32)| {
+        b.1.partial_cmp(&a.1).expect("NaN-free scores").then(a.0.cmp(&b.0))
+    };
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k - 1, order);
+    }
+    ranked[..k].sort_unstable_by(order);
+    // Scaled logits become their softmax weights in place.
+    let shortlist = &mut ranked[..k];
     let max = shortlist[0].1;
-    let weights: Vec<f32> = shortlist.iter().map(|(_, l)| (l - max).exp()).collect();
-    let total: f32 = weights.iter().sum();
+    for (_, l) in shortlist.iter_mut() {
+        *l = (*l - max).exp();
+    }
+    let total: f32 = shortlist.iter().map(|(_, w)| w).sum();
     let mut draw = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
-    for ((idx, _), w) in shortlist.iter().zip(&weights) {
-        if draw < *w {
-            return *idx as u32;
+    for &(idx, w) in shortlist.iter() {
+        if draw < w {
+            return idx;
         }
         draw -= w;
     }
-    shortlist[k - 1].0 as u32
+    shortlist[k - 1].0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -717,6 +770,91 @@ mod tests {
         let model = Gpt::new(GptConfig::tiny(16), &mut rng());
         let mut cache = KvCache::new(GptConfig::tiny(24));
         model.decode_step(&mut cache, 1);
+    }
+
+    /// The sampler as it was before the partial selection: a stable
+    /// descending sort of every scaled logit, kept as the reference the
+    /// production sampler must draw identically to.
+    fn stable_sort_sample_row<R: Rng>(
+        logits: &[f32],
+        temperature: f32,
+        top_k: usize,
+        rng: &mut R,
+    ) -> u32 {
+        let temp = temperature.max(1e-4);
+        let mut indexed: Vec<(usize, f32)> =
+            logits.iter().enumerate().map(|(i, &l)| (i, l / temp)).collect();
+        indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let k = top_k.clamp(1, indexed.len());
+        let shortlist = &indexed[..k];
+        let max = shortlist[0].1;
+        let weights: Vec<f32> = shortlist.iter().map(|(_, l)| (l - max).exp()).collect();
+        let total: f32 = weights.iter().sum();
+        let mut draw = rng.gen_range(0.0..total.max(f32::MIN_POSITIVE));
+        for ((idx, _), w) in shortlist.iter().zip(&weights) {
+            if draw < *w {
+                return *idx as u32;
+            }
+            draw -= w;
+        }
+        shortlist[k - 1].0 as u32
+    }
+
+    fn logit() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            (-3i32..=3).prop_map(|v| v as f32), // heavy ties
+            -20.0f32..20.0,
+            Just(0.0f32),
+            Just(-0.0f32),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Partial selection draws the same token, from the same RNG
+        /// position, as the stable full sort — over ties, signed zeros,
+        /// infinities, NaN (ranked as `-inf`), `top_k` of 0, 1 and beyond
+        /// the vocabulary, and temperature 0.
+        #[test]
+        fn partial_selection_draws_like_the_stable_sort(
+            mut logits in proptest::collection::vec(logit(), 1..=40),
+            (pos_inf_at, neg_inf_at, nan_at) in (0usize..120, 0usize..120, 0usize..200),
+            top_k in 0usize..=45,
+            temperature in prop_oneof![Just(0.0f32), Just(1.0f32), 0.05f32..2.0],
+            seed in any::<u64>(),
+        ) {
+            let specials = [
+                (pos_inf_at, f32::INFINITY),
+                (neg_inf_at, f32::NEG_INFINITY),
+                (nan_at, f32::NAN),
+            ];
+            for (at, value) in specials {
+                if let Some(l) = logits.get_mut(at) {
+                    *l = value;
+                }
+            }
+            let as_ranked: Vec<f32> =
+                logits.iter().map(|&l| if l.is_nan() { f32::NEG_INFINITY } else { l }).collect();
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ranked = Vec::new();
+            let expected =
+                stable_sort_sample_row(&as_ranked, temperature, top_k, &mut reference_rng);
+            let drawn = sample_row_with(&logits, temperature, top_k, &mut rng, &mut ranked);
+            prop_assert_eq!(drawn, expected);
+            prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn nan_logits_are_never_drawn() {
+        let logits = [f32::NAN, 1.0, f32::NAN, 0.5, f32::NAN];
+        let mut r = rng();
+        for _ in 0..64 {
+            let token = sample_row(&logits, 1.0, 5, &mut r);
+            assert!(token == 1 || token == 3, "drew NaN logit {token}");
+        }
     }
 
     #[test]

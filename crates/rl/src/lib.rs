@@ -36,8 +36,10 @@
 //! assert!(stats.epochs_run >= 1);
 //! ```
 
+pub mod fan_out;
 pub mod gae;
 pub mod ppo;
 
+pub use fan_out::{available_lanes, map_in_order};
 pub use gae::{gae, normalize};
 pub use ppo::{action_logprobs_values, PpoConfig, PpoStats, PpoTrainer, Rollout};

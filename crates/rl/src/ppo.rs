@@ -7,9 +7,10 @@
 //! bonus, with KL-based early stopping across epochs.
 
 use chatfuzz_autograd::{Adam, AdamConfig, Tape, Tensor};
-use chatfuzz_lm::{Gpt, KvCache};
+use chatfuzz_lm::Gpt;
 use rand::Rng;
 
+use crate::fan_out::{available_lanes, map_in_order};
 use crate::gae::{gae, normalize};
 
 /// PPO hyper-parameters.
@@ -57,6 +58,17 @@ impl Default for PpoConfig {
             top_k: 32,
             max_new_tokens: 48,
         }
+    }
+}
+
+impl PpoConfig {
+    /// Tokens a rollout may generate after a `prompt_len`-token prompt:
+    /// `max_new_tokens`, capped so the *whole* sequence fits a
+    /// `window`-token context — PPO scoring forwards the full
+    /// prompt+continuation, unlike free-running generation which can
+    /// slide its window.
+    pub fn budget(&self, window: usize, prompt_len: usize) -> usize {
+        window.saturating_sub(prompt_len).min(self.max_new_tokens)
     }
 }
 
@@ -163,47 +175,14 @@ impl PpoTrainer {
         self.reference = self.policy.clone();
     }
 
-    /// Samples one trajectory from the policy.
-    ///
-    /// Generation is capped so the *whole* sequence fits the policy's
-    /// context window — PPO scoring forwards the full prompt+continuation,
-    /// unlike free-running generation which can slide its window.
+    /// Samples one trajectory from the policy through the naive sampler,
+    /// generating at most [`PpoConfig::budget`] tokens.
     pub fn sample<R: Rng>(&self, prompt: &[u32], rng: &mut R) -> Vec<u32> {
-        let window = self.policy.config().max_seq;
-        let budget = window.saturating_sub(prompt.len()).min(self.cfg.max_new_tokens);
+        let budget = self.cfg.budget(self.policy.config().max_seq, prompt.len());
         if budget == 0 {
             return prompt.to_vec();
         }
         self.policy.generate(prompt, budget, self.cfg.temperature, self.cfg.top_k, rng)
-    }
-
-    /// KV-cached [`PpoTrainer::sample`]: identical budget clamp, identical
-    /// tokens under the same RNG (`Gpt::generate_into` is pinned
-    /// token-equal to the naive sampler), but `O(T)` per token through the
-    /// reusable cache arena instead of a fresh full forward per token.
-    pub fn sample_into<R: Rng>(
-        &self,
-        prompt: &[u32],
-        rng: &mut R,
-        cache: &mut KvCache,
-        out: &mut Vec<u32>,
-    ) {
-        let window = self.policy.config().max_seq;
-        let budget = window.saturating_sub(prompt.len()).min(self.cfg.max_new_tokens);
-        if budget == 0 {
-            out.clear();
-            out.extend_from_slice(prompt);
-            return;
-        }
-        self.policy.generate_into(
-            prompt,
-            budget,
-            self.cfg.temperature,
-            self.cfg.top_k,
-            rng,
-            cache,
-            out,
-        );
     }
 
     /// Builds a scored [`Rollout`] from a sampled sequence and its task
@@ -221,10 +200,21 @@ impl PpoTrainer {
 
     /// Runs PPO epochs over a batch of rollouts and updates the policy.
     ///
+    /// Each epoch computes the per-rollout losses on one thread per
+    /// available core ([`map_in_order`]) and folds gradients and loss
+    /// sums in rollout order, so the updated weights are bit-identical
+    /// for any thread count.
+    ///
     /// # Panics
     ///
     /// Panics if `rollouts` is empty.
     pub fn step(&mut self, rollouts: &[Rollout]) -> PpoStats {
+        self.step_on(rollouts, available_lanes())
+    }
+
+    /// [`PpoTrainer::step`] with the per-rollout losses fanned out over
+    /// `threads` threads.
+    pub(crate) fn step_on(&mut self, rollouts: &[Rollout], threads: usize) -> PpoStats {
         assert!(!rollouts.is_empty(), "empty rollout batch");
         let mut stats = PpoStats {
             mean_reward: rollouts.iter().map(|r| r.reward).sum::<f32>() / rollouts.len() as f32,
@@ -247,7 +237,10 @@ impl PpoTrainer {
             shaped.push((adv, ret));
         }
 
+        let jobs: Vec<_> = rollouts.iter().zip(&shaped).collect();
+        let mut lanes = vec![(); threads.max(1)];
         for epoch in 0..self.cfg.epochs {
+            let trainer = &*self;
             let mut grads: Option<Vec<Tensor>> = None;
             let mut kl_sum = 0.0;
             let mut pl_sum = 0.0;
@@ -255,8 +248,15 @@ impl PpoTrainer {
             let mut ent_sum = 0.0;
             let mut clip_hits = 0usize;
             let mut clip_total = 0usize;
-            for (r, (adv, ret)) in rollouts.iter().zip(&shaped) {
-                let (loss_parts, tape_grads) = self.rollout_loss(r, adv, ret);
+            // One rollout per lane at a time keeps a lane's worth of
+            // gradient sets alive, not an epoch's; folding in rollout
+            // order keeps the float sums independent of the lane count.
+            let losses = jobs.chunks(lanes.len()).flat_map(|wave| {
+                map_in_order(wave, &mut lanes, |_, &(r, (adv, ret))| {
+                    trainer.rollout_loss(r, adv, ret)
+                })
+            });
+            for (loss_parts, tape_grads) in losses {
                 kl_sum += loss_parts.kl;
                 pl_sum += loss_parts.policy;
                 vl_sum += loss_parts.value;
@@ -417,7 +417,7 @@ pub fn action_logprobs_values(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatfuzz_lm::GptConfig;
+    use chatfuzz_lm::{GptConfig, KvCache};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -479,15 +479,79 @@ mod tests {
     }
 
     #[test]
-    fn sample_into_matches_sample() {
+    fn budgeted_kv_sampling_matches_sample() {
         let trainer = tiny_trainer(9, PpoConfig { max_new_tokens: 12, ..Default::default() });
-        let mut cache = KvCache::new(*trainer.policy().config());
+        let (policy, cfg) = (trainer.policy(), trainer.config());
+        let mut cache = KvCache::new(*policy.config());
         let mut out = Vec::new();
-        for prompt in [vec![1u32], vec![1, 4, 7], vec![2; 70]] {
+        for prompt in [vec![1u32], vec![1, 4, 7], vec![2; 60], vec![2; 70]] {
             let naive = trainer.sample(&prompt, &mut StdRng::seed_from_u64(3));
-            trainer.sample_into(&prompt, &mut StdRng::seed_from_u64(3), &mut cache, &mut out);
+            let budget = cfg.budget(policy.config().max_seq, prompt.len());
+            assert!(naive.len() <= prompt.len() + budget, "sample overran its budget");
+            let mut rng = StdRng::seed_from_u64(3);
+            policy.generate_into(
+                &prompt,
+                budget,
+                cfg.temperature,
+                cfg.top_k,
+                &mut rng,
+                &mut cache,
+                &mut out,
+            );
             assert_eq!(out, naive, "prompt of {} tokens diverged", prompt.len());
         }
+    }
+
+    /// Per-rollout losses fan out, but gradients and loss sums fold in
+    /// rollout order: one thread and four give bit-identical weights,
+    /// moments and stats.
+    #[test]
+    fn step_is_bit_identical_for_any_fan_out() {
+        let cfg = PpoConfig {
+            lr: 1e-2,
+            epochs: 3,
+            max_new_tokens: 10,
+            target_kl: f32::MAX,
+            ..Default::default()
+        };
+        let sampler = tiny_trainer(8, cfg);
+        let mut rng = StdRng::seed_from_u64(21);
+        let rollouts: Vec<Rollout> = (0..9u32)
+            .filter_map(|i| {
+                let prompt = [1, 2 + i % 5];
+                let toks = sampler.sample(&prompt, &mut rng);
+                (toks.len() > prompt.len()).then(|| sampler.score(toks, 2, i as f32 * 0.3 - 1.0))
+            })
+            .collect();
+        assert!(rollouts.len() >= 4, "need several rollouts, got {}", rollouts.len());
+        let weights = |t: &PpoTrainer| -> Vec<Vec<u32>> {
+            let (m, v) = t.optimizer().moments();
+            t.policy()
+                .params()
+                .into_iter()
+                .chain(m)
+                .chain(v)
+                .map(|p| p.data().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let runs: Vec<(Vec<Vec<u32>>, [u32; 5])> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let mut trainer = tiny_trainer(8, cfg);
+                trainer.step_on(&rollouts, threads);
+                let stats = trainer.step_on(&rollouts, threads);
+                let stat_bits = [
+                    stats.approx_kl,
+                    stats.policy_loss,
+                    stats.value_loss,
+                    stats.entropy,
+                    stats.clip_frac,
+                ]
+                .map(f32::to_bits);
+                (weights(&trainer), stat_bits)
+            })
+            .collect();
+        assert!(runs[0] == runs[1], "fan-out changed the update");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! | `chatfuzz_campaign_coverage_bins` | gauge | covered bins right now |
 //! | `chatfuzz_campaign_mismatches_total` | counter | mismatching tests seen |
 //! | `chatfuzz_campaign_batch_latency_us` | histogram | wall clock per batch |
-//! | `chatfuzz_campaign_lm_tokens_total` | counter | instructions sampled by the LM arm |
+//! | `chatfuzz_campaign_lm_tokens_total` | counter | tokens sampled by the LM arm |
 //! | `chatfuzz_campaign_lm_publish_epochs` | gauge | actor weight-publish epochs |
 //! | `chatfuzz_persist_write_us` | histogram | snapshot/checkpoint write duration |
 //! | `chatfuzz_persist_writes_total` | counter | snapshot writes attempted |
